@@ -587,14 +587,54 @@ func BenchmarkF5Figure(b *testing.B) {
 
 // ---- Kernel micro-benchmarks. ----
 
-// benchEngineThroughput measures simulator event processing on a long
-// non-meeting run (segments/second is the figure of merit), on the
-// cursor fast path or (opaque) the iter.Pull fallback.
-func benchEngineThroughput(b *testing.B, opaque bool) {
-	const segs = 200_000
+// engineThroughputSegs is the segment budget of one EngineThroughput
+// run: a long non-meeting North/South shuttle at gap 100.
+const engineThroughputSegs = 200_000
+
+func engineThroughputSettings() sim.Settings {
 	set := sim.DefaultSettings()
-	set.MaxSegments = segs
+	set.MaxSegments = engineThroughputSegs
 	set.SightSlack = 0
+	return set
+}
+
+func engineRun(b *testing.B, pa, pb prog.Program, set sim.Settings) {
+	refAt := func(origin geom.Vec2) phys.Attributes {
+		a := phys.Reference()
+		a.Origin = origin
+		return a
+	}
+	a := sim.AgentSpec{Attrs: refAt(geom.V(0, 0)), Prog: pa, Radius: 0.1}
+	bb := sim.AgentSpec{Attrs: refAt(geom.V(100, 0)), Prog: pb, Radius: 0.1}
+	if res := sim.Run(a, bb, set); res.Met {
+		b.Fatal("unexpected meeting")
+	}
+}
+
+// BenchmarkEngineThroughput measures the simulator's segment loop
+// alone (segments/second is the figure of merit): the shuttle program
+// is built once, as a cursor-backed instruction list, so each run
+// allocates only its runners and cursors, not the program.
+func BenchmarkEngineThroughput(b *testing.B) {
+	set := engineThroughputSettings()
+	list := make([]prog.Instr, 0, engineThroughputSegs)
+	for len(list) < engineThroughputSegs {
+		list = append(list, prog.Move(prog.North, 1), prog.Move(prog.South, 1))
+	}
+	p := prog.Instrs(list...)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engineRun(b, p, p, set)
+	}
+	b.ReportMetric(float64(engineThroughputSegs*b.N)/b.Elapsed().Seconds(), "segments/s")
+}
+
+// benchEngineThroughputGen runs the same shuttle generated round by
+// round by a Forever combinator, on the cursor fast path or (opaque)
+// the iter.Pull fallback: segment loop plus per-round program
+// construction, which accounts for nearly all of its allocations.
+func benchEngineThroughputGen(b *testing.B, opaque bool) {
+	set := engineThroughputSettings()
 	mk := func() prog.Program {
 		p := prog.Forever(func(i int) prog.Program {
 			return prog.Instrs(prog.Move(prog.North, 1), prog.Move(prog.South, 1))
@@ -604,25 +644,15 @@ func benchEngineThroughput(b *testing.B, opaque bool) {
 		}
 		return p
 	}
-	refAt := func(origin geom.Vec2) phys.Attributes {
-		a := phys.Reference()
-		a.Origin = origin
-		return a
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := sim.AgentSpec{Attrs: refAt(geom.V(0, 0)), Prog: mk(), Radius: 0.1}
-		bb := sim.AgentSpec{Attrs: refAt(geom.V(100, 0)), Prog: mk(), Radius: 0.1}
-		res := sim.Run(a, bb, set)
-		if res.Met {
-			b.Fatal("unexpected meeting")
-		}
+		engineRun(b, mk(), mk(), set)
 	}
-	b.ReportMetric(float64(segs*b.N)/b.Elapsed().Seconds(), "segments/s")
+	b.ReportMetric(float64(engineThroughputSegs*b.N)/b.Elapsed().Seconds(), "segments/s")
 }
 
-func BenchmarkEngineThroughput(b *testing.B)     { benchEngineThroughput(b, false) }
-func BenchmarkEngineThroughputPull(b *testing.B) { benchEngineThroughput(b, true) }
+func BenchmarkEngineThroughputGen(b *testing.B)  { benchEngineThroughputGen(b, false) }
+func BenchmarkEngineThroughputPull(b *testing.B) { benchEngineThroughputGen(b, true) }
 
 // benchInstrStream drains a fixed prefix of Algorithm 1's instruction
 // stream outside the simulator: the raw cost of program generation on

@@ -177,14 +177,21 @@ func (f *Fleet) runSlot(s *slot) {
 	lg := logOf(f.cfg)
 	for {
 		f.mu.Lock()
-		if f.closed {
+		if f.closed || s.draining {
+			// A connection still parked here was never driven (Close or
+			// Retire right after the dial or a reconnect): nothing else
+			// owns it, so close it on the way out, or a stdio worker
+			// subprocess and the connection's reader goroutine leak.
+			wc := s.wc
+			s.wc = nil
+			if !f.closed {
+				s.retired = true
+				f.strandIfDeadLocked()
+			}
 			f.mu.Unlock()
-			return
-		}
-		if s.draining {
-			s.retired = true
-			f.strandIfDeadLocked()
-			f.mu.Unlock()
+			if wc != nil {
+				wc.close()
+			}
 			return
 		}
 		if s.wc != nil {

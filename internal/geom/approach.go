@@ -23,13 +23,22 @@ type Approach struct {
 // with constant velocities over the parameter interval [0, T].
 //
 // The squared distance D(s) = |Δp + s·Δv|² is a convex quadratic, so the
-// minimum is at the clamped vertex.
+// minimum is at the clamped vertex (see ClosestOffset).
 func ClosestApproach(a, b Moving, T float64) Approach {
+	s, d := ClosestOffset(a, b, T)
+	return Approach{s, d.Norm()}
+}
+
+// ClosestOffset returns the parameter s in [0, T] of closest approach and
+// the separation vector Δp + s·Δv at that parameter, whose norm is the
+// minimum distance. Callers that only need the distance when it can
+// matter test the vector first (Vec2.NormExceeds) and skip the Hypot.
+func ClosestOffset(a, b Moving, T float64) (float64, Vec2) {
 	dp := a.P.Sub(b.P)
 	dv := a.V.Sub(b.V)
 	vv := dv.Norm2()
 	if vv == 0 {
-		return Approach{0, dp.Norm()}
+		return 0, dp
 	}
 	s := -dp.Dot(dv) / vv
 	if s < 0 {
@@ -37,7 +46,7 @@ func ClosestApproach(a, b Moving, T float64) Approach {
 	} else if s > T {
 		s = T
 	}
-	return Approach{s, dp.Add(dv.Scale(s)).Norm()}
+	return s, dp.Add(dv.Scale(s))
 }
 
 // FirstWithin returns the earliest parameter s in [0, T] at which the two

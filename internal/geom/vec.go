@@ -43,6 +43,35 @@ func (a Vec2) Norm() float64 { return math.Hypot(a.X, a.Y) }
 // Norm2 returns |a|² without a square root.
 func (a Vec2) Norm2() float64 { return a.X*a.X + a.Y*a.Y }
 
+// Bounds of NormExceeds: the relative margin on the squared comparison
+// and the magnitude range inside which no square can underflow or
+// overflow.
+const (
+	normGateMargin = 0x1p-40
+	normGateLo     = 0x1p-500
+	normGateHi     = 0x1p+500
+)
+
+// NormExceeds reports whether a.Norm() > m is certain from the squared
+// norm alone, letting a caller that only needs the norm when it is at
+// most m skip the Hypot. A false result means "not certain": the caller
+// must compute Norm. The test fires only when m and every nonzero
+// component of a lie in [2^-500, 2^500], so that neither square
+// underflows or overflows, and the squared comparison carries a 2^-40
+// relative margin: fl(x²+y²) and Hypot each err by a few ulps, so
+// a.Norm2() > m²(1+2^-40) implies Hypot(x, y) > m (DESIGN.md §14).
+func (a Vec2) NormExceeds(m float64) bool {
+	if !(m >= normGateLo && m <= normGateHi) {
+		return false // also rejects NaN and +Inf
+	}
+	ax, ay := math.Abs(a.X), math.Abs(a.Y)
+	if !(ax <= normGateHi && ay <= normGateHi) ||
+		(ax != 0 && ax < normGateLo) || (ay != 0 && ay < normGateLo) {
+		return false
+	}
+	return a.Norm2() > m*m*(1+normGateMargin)
+}
+
 // Dist returns the Euclidean distance between points a and b.
 func (a Vec2) Dist(b Vec2) float64 { return a.Sub(b).Norm() }
 

@@ -21,6 +21,16 @@
 // so sight events remain resolvable long after a float64 clock would have
 // lost sub-unit resolution.
 //
+// The segment loop recomputes nothing that is fixed per agent or per
+// interval. An agent's frame is built once, on its first move, and move
+// velocities come from a small per-agent cache keyed on the bits of the
+// local angle θ, so repeated directions cost no trigonometry and give
+// the very bits phys.Attributes.AbsVelocity would. Each interval's length
+// is computed once and advances both agents, and the Hypot of the
+// closest-approach gap is taken only when the squared gap could set a
+// new minimum (geom.Vec2.NormExceeds). None of this changes a bit of any
+// Result; DESIGN.md §14 gives the argument.
+//
 // Rendezvous semantics follow the paper: agents stop forever as soon as
 // they see each other (gap ≤ r). The Section 5 extension with distinct
 // radii r₁ ≥ r₂ is supported: the far-sighted agent freezes first, the
@@ -227,11 +237,26 @@ func (r Result) String() string {
 // pathological all-wait programs when MaxTime is unbounded.
 const waitFuseLimit = 4096
 
+// velCacheSize is the number of distinct move angles a runner keeps
+// velocities for. The paper's walks move along a handful of directions
+// per agent, so four entries hit on nearly every move segment.
+const velCacheSize = 4
+
 // runner is the per-agent execution state.
 type runner struct {
 	attrs  phys.Attributes
 	cur    prog.Cursor // instruction source (cursor fast path or iter.Pull adapter)
 	radius float64     // effective sight radius
+
+	// Move velocities: frame is attrs.Frame(), built on the first move;
+	// velKeys/vels cache frame·Polar(θ)·Speed keyed on the bits of θ,
+	// filled round-robin: velN entries in use, velNext written next.
+	frame    geom.Mat2
+	hasFrame bool
+	velKeys  [velCacheSize]uint64
+	vels     [velCacheSize]geom.Vec2
+	velN     int
+	velNext  int
 
 	pos     geom.Vec2 // position at segStart
 	vel     geom.Vec2 // velocity during the current segment
@@ -310,13 +335,36 @@ func (r *runner) record(t float64) {
 	r.trace = append(r.trace, TracePoint{t, r.pos})
 }
 
-// advanceTo moves the runner's position to absolute time t (≤ segEnd).
-func (r *runner) advanceTo(now dd.T, t dd.T) {
+// advance moves the runner's position forward by dt absolute time
+// units (within the current segment).
+func (r *runner) advance(dt float64) {
 	if r.vel == (geom.Vec2{}) {
 		return
 	}
-	dt := t.Sub(now).Float64()
 	r.pos = r.pos.Add(r.vel.Scale(dt))
+}
+
+// velocity returns the absolute velocity of go(theta, ·), bit-identical
+// to r.attrs.AbsVelocity(theta): the same frame, direction and speed
+// products, with the frame built once and the result cached per θ.
+func (r *runner) velocity(theta float64) geom.Vec2 {
+	key := math.Float64bits(theta)
+	for i := 0; i < r.velN; i++ {
+		if r.velKeys[i] == key {
+			return r.vels[i]
+		}
+	}
+	if !r.hasFrame {
+		r.frame, r.hasFrame = r.attrs.Frame(), true
+	}
+	v := r.frame.Apply(geom.Polar(theta)).Scale(r.attrs.Speed)
+	i := r.velNext
+	r.velKeys[i], r.vels[i] = key, v
+	r.velNext = (i + 1) % velCacheSize
+	if r.velN < velCacheSize {
+		r.velN++
+	}
+	return v
 }
 
 // loadSegment pulls the next instruction and installs the segment
@@ -345,7 +393,7 @@ func (r *runner) loadSegment(start dd.T) bool {
 				r.fuseWaits()
 			}
 		} else {
-			r.vel = r.attrs.AbsVelocity(ins.Theta)
+			r.vel = r.velocity(ins.Theta)
 		}
 		// Absolute end = wake + τ·local, computed from the exact local
 		// accumulator so long schedules do not drift.
@@ -456,15 +504,20 @@ func Run(a, b AgentSpec, s Settings) Result {
 				active = true
 			}
 		}
-		// Analytic sight detection over [now, end].
-		T := end.Sub(now).Float64()
+		// Analytic sight detection over [now, end]. dt is the interval
+		// length both runners advance by when no sight event cuts it.
+		dt := end.Sub(now).Float64()
+		T := dt
 		if T < 0 {
 			T = 0
 		}
 		ma := geom.Moving{P: ra.pos, V: ra.vel}
 		mb := geom.Moving{P: rb.pos, V: rb.vel}
-		app := geom.ClosestApproach(ma, mb, T)
-		noteGap(app.DMin, now.AddFloat(app.SMin))
+		// The gap's Hypot (and its dd timestamp) only matter when they
+		// can set a new minimum; NormExceeds proves when they cannot.
+		if s, d := geom.ClosestOffset(ma, mb, T); !d.NormExceeds(res.MinGap) {
+			noteGap(d.Norm(), now.AddFloat(s))
+		}
 
 		sSmall, okSmall := geom.FirstWithin(ma, mb, T, rSmall)
 		if rBig > rSmall {
@@ -473,8 +526,9 @@ func Run(a, b AgentSpec, s Settings) Result {
 			// would only happen with both agents still moving.
 			if sBig, okBig := geom.FirstWithin(ma, mb, T, rBig); okBig && (!okSmall || sBig < sSmall) {
 				at := now.AddFloat(sBig)
-				ra.advanceTo(now, at)
-				rb.advanceTo(now, at)
+				step := at.Sub(now).Float64()
+				ra.advance(step)
+				rb.advance(step)
 				if ra.radius >= rb.radius && !ra.frozen {
 					ra.freeze()
 				} else if !rb.frozen {
@@ -487,8 +541,9 @@ func Run(a, b AgentSpec, s Settings) Result {
 		}
 		if okSmall {
 			at := now.AddFloat(sSmall)
-			ra.advanceTo(now, at)
-			rb.advanceTo(now, at)
+			step := at.Sub(now).Float64()
+			ra.advance(step)
+			rb.advance(step)
 			noteGap(ra.pos.Dist(rb.pos), at)
 			return finish(ReasonMet, at)
 		}
@@ -499,8 +554,8 @@ func Run(a, b AgentSpec, s Settings) Result {
 			return finish(ReasonProgramsEnded, now)
 		}
 		// Advance to the interval end.
-		ra.advanceTo(now, end)
-		rb.advanceTo(now, end)
+		ra.advance(dt)
+		rb.advance(dt)
 		now = end
 
 		if maxTime.LessEq(now) {

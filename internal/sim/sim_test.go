@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dd"
 	"repro/internal/geom"
 	"repro/internal/phys"
 	"repro/internal/prog"
@@ -334,5 +335,60 @@ func TestStopReasonString(t *testing.T) {
 		if got := r.String(); got != want {
 			t.Errorf("String(%d) = %q", r, got)
 		}
+	}
+}
+
+// The closest-approach gate must leave MinGap bookkeeping untouched: the
+// first interval records its gap against the +Inf initial minimum, and
+// a later interval whose gap ties the minimum exactly (here every
+// interval: the agents march North in lockstep) must not move
+// MinGapTime off the first occurrence.
+func TestMinGapGateFirstIntervalAndTie(t *testing.T) {
+	steps := func() prog.Program {
+		var list []prog.Instr
+		for i := 0; i < 20; i++ {
+			list = append(list, prog.Move(prog.North, 1), prog.Wait(0.5))
+		}
+		return prog.Instrs(list...)
+	}
+	for _, origin := range []geom.Vec2{geom.V(10, 0), geom.V(3, 4)} {
+		a := AgentSpec{refAt(geom.V(0, 0)), steps(), 1}
+		b := AgentSpec{refAt(origin), steps(), 1}
+		res := Run(a, b, DefaultSettings())
+		if res.Reason != ReasonProgramsEnded {
+			t.Fatalf("origin %v: want programs-ended, got %v", origin, res)
+		}
+		if want := origin.Norm(); res.MinGap != want {
+			t.Errorf("origin %v: MinGap %v, want %v", origin, res.MinGap, want)
+		}
+		if res.MinGapTime.Hi != 0 || res.MinGapTime.Lo != 0 {
+			t.Errorf("origin %v: MinGapTime %v, want the first interval (0): a tie moved it", origin, res.MinGapTime)
+		}
+	}
+}
+
+// The runner's velocity cache returns exactly the bits of
+// phys.Attributes.AbsVelocity, for repeated angles, more distinct angles
+// than it holds (eviction), reflected frames and signed zeros.
+func TestVelocityCacheMatchesAbsVelocity(t *testing.T) {
+	thetas := []float64{
+		prog.North, prog.East, prog.South, prog.West, prog.North, 0.3, 1.7,
+		math.Copysign(0, -1), 0, 2.5, 0.3, 0.3 + 1e-15, prog.West, 4.1, 5.9, 1.7,
+	}
+	for _, attrs := range []phys.Attributes{
+		phys.Reference(),
+		{Phi: 1.1, Chi: -1, Tau: 2, Speed: 0.37, Wake: 1},
+		{Phi: 4.7, Chi: 1, Tau: 1, Speed: 3},
+	} {
+		r := newRunner(AgentSpec{Attrs: attrs, Prog: prog.Empty()}, 0, 0, dd.FromFloat(math.Inf(1)), true)
+		for round := 0; round < 3; round++ {
+			for _, th := range thetas {
+				got, want := r.velocity(th), attrs.AbsVelocity(th)
+				if math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+					t.Fatalf("attrs %+v θ=%v: cached velocity %v, AbsVelocity %v", attrs, th, got, want)
+				}
+			}
+		}
+		r.stop()
 	}
 }

@@ -306,7 +306,10 @@ func TestCompressHintRoundTrip(t *testing.T) {
 // steady-state allocations per frame round trip — raw and compressed.
 // Everything the path needs (assembly buffers, payload buffers, flate
 // state) is either owned by the writer/reader or rented from the pool
-// and returned by Release.
+// and returned by Release. Under the race detector the round trips
+// still run, but the count is not asserted: sync.Pool drops a random
+// quarter of Puts there, and each dropped Buf costs a refill (the Buf
+// and its backing array) on the next Get.
 func TestWirePoolAllocFree(t *testing.T) {
 	payload := bytes.Repeat([]byte("steady state "), 300) // ~3.9 KB, compressible
 	for _, compress := range []bool{false, true} {
@@ -326,7 +329,12 @@ func TestWirePoolAllocFree(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			roundTrip() // warm the pools and the flate state
 		}
-		if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {
+		avg := testing.AllocsPerRun(200, roundTrip)
+		if raceEnabled {
+			t.Logf("compress=%v: %.2f allocs per frame round trip under -race (pool drops; not asserted)", compress, avg)
+			continue
+		}
+		if avg != 0 {
 			t.Errorf("compress=%v: %.2f allocs per frame round trip, want 0", compress, avg)
 		}
 	}
