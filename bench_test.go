@@ -55,28 +55,18 @@ func BenchmarkT1Feasibility(b *testing.B) {
 	}
 }
 
-func benchT2Type(b *testing.B, c inst.Class) { benchT2TypeMode(b, c, false) }
-
-// benchT2TypeMode runs the T2 kernel either on the cursor fast path or
-// (opaque) through the iter.Pull coroutine fallback — the before/after
-// pair of the cursor-engine optimization (see BENCH_PR2.json).
-func benchT2TypeMode(b *testing.B, c inst.Class, opaque bool) {
+// benchT2Type runs the T2 kernel: Algorithm 1 on four instances of
+// the class until they meet.
+func benchT2Type(b *testing.B, c inst.Class) {
 	g := inst.NewGen(11)
 	ins := g.DrawN(c, 4)
 	set := sim.DefaultSettings()
 	set.MaxSegments = 120_000_000
-	mk := func() prog.Program {
-		p := core.Program(core.Compact(), nil)
-		if opaque {
-			p = prog.Opaque(p)
-		}
-		return p
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range ins {
-			a := sim.AgentSpec{Attrs: in.AgentA(), Prog: mk(), Radius: in.R}
-			bb := sim.AgentSpec{Attrs: in.AgentB(), Prog: mk(), Radius: in.R}
+			a := sim.AgentSpec{Attrs: in.AgentA(), Prog: core.Program(core.Compact(), nil), Radius: in.R}
+			bb := sim.AgentSpec{Attrs: in.AgentB(), Prog: core.Program(core.Compact(), nil), Radius: in.R}
 			if res := sim.Run(a, bb, set); !res.Met {
 				b.Fatalf("instance failed to meet: %v", in)
 			}
@@ -88,13 +78,6 @@ func BenchmarkT2Type1Mirror(b *testing.B)     { benchT2Type(b, inst.ClassMirrorI
 func BenchmarkT2Type2Latecomer(b *testing.B)  { benchT2Type(b, inst.ClassLatecomer) }
 func BenchmarkT2Type3ClockDrift(b *testing.B) { benchT2Type(b, inst.ClassClockDrift) }
 func BenchmarkT2Type4Rotated(b *testing.B)    { benchT2Type(b, inst.ClassRotatedDelayed) }
-
-// Pull-path baselines for the same kernels (iter.Pull forced via
-// prog.Opaque): the denominators of the cursor-engine speedup claim.
-func BenchmarkT2Type1MirrorPull(b *testing.B) { benchT2TypeMode(b, inst.ClassMirrorInterior, true) }
-func BenchmarkT2Type3ClockDriftPull(b *testing.B) {
-	benchT2TypeMode(b, inst.ClassClockDrift, true)
-}
 
 func BenchmarkT3Coverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -629,20 +612,15 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportMetric(float64(engineThroughputSegs*b.N)/b.Elapsed().Seconds(), "segments/s")
 }
 
-// benchEngineThroughputGen runs the same shuttle generated round by
-// round by a Forever combinator, on the cursor fast path or (opaque)
-// the iter.Pull fallback: segment loop plus per-round program
+// BenchmarkEngineThroughputGen runs the same shuttle generated round by
+// round by a Forever combinator: segment loop plus per-round program
 // construction, which accounts for nearly all of its allocations.
-func benchEngineThroughputGen(b *testing.B, opaque bool) {
+func BenchmarkEngineThroughputGen(b *testing.B) {
 	set := engineThroughputSettings()
 	mk := func() prog.Program {
-		p := prog.Forever(func(i int) prog.Program {
+		return prog.Forever(func(i int) prog.Program {
 			return prog.Instrs(prog.Move(prog.North, 1), prog.Move(prog.South, 1))
 		})
-		if opaque {
-			p = prog.Opaque(p)
-		}
-		return p
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -651,21 +629,14 @@ func benchEngineThroughputGen(b *testing.B, opaque bool) {
 	b.ReportMetric(float64(engineThroughputSegs*b.N)/b.Elapsed().Seconds(), "segments/s")
 }
 
-func BenchmarkEngineThroughputGen(b *testing.B)  { benchEngineThroughputGen(b, false) }
-func BenchmarkEngineThroughputPull(b *testing.B) { benchEngineThroughputGen(b, true) }
-
-// benchInstrStream drains a fixed prefix of Algorithm 1's instruction
-// stream outside the simulator: the raw cost of program generation on
-// the cursor engine versus the iter.Pull coroutine.
-func benchInstrStream(b *testing.B, opaque bool) {
+// BenchmarkInstrStreamCursor drains a fixed prefix of Algorithm 1's
+// instruction stream outside the simulator: the raw cost of program
+// generation on the cursor engine.
+func BenchmarkInstrStreamCursor(b *testing.B) {
 	const n = 200_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := core.Program(core.Compact(), nil)
-		if opaque {
-			p = prog.Opaque(p)
-		}
-		cur := prog.NewCursor(p)
+		cur := core.Program(core.Compact(), nil)()
 		for k := 0; k < n; k++ {
 			if _, ok := cur.Next(); !ok {
 				b.Fatal("stream ended early")
@@ -675,9 +646,6 @@ func benchInstrStream(b *testing.B, opaque bool) {
 	}
 	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "instrs/s")
 }
-
-func BenchmarkInstrStreamCursor(b *testing.B) { benchInstrStream(b, false) }
-func BenchmarkInstrStreamPull(b *testing.B)   { benchInstrStream(b, true) }
 
 // BenchmarkClosestApproach measures the analytic sight kernel.
 func BenchmarkClosestApproach(b *testing.B) {
@@ -726,7 +694,9 @@ func BenchmarkFloatAdd(b *testing.B) {
 func BenchmarkPlanarWalkGen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
-		walk.Planar(5)(func(prog.Instr) bool { n++; return true })
+		for range prog.All(walk.Planar(5)) {
+			n++
+		}
 		if n == 0 {
 			b.Fatal("empty walk")
 		}

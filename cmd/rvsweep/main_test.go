@@ -89,7 +89,7 @@ func TestStreamCSVRowBeforeBatchEnds(t *testing.T) {
 		Name: "gated-sweep-test",
 		Program: func(in rendezvous.Instance) prog.Program {
 			if in == last {
-				return func(yield func(prog.Instr) bool) { <-gate }
+				return func() prog.Cursor { <-gate; return prog.InstrsCursor() }
 			}
 			return prog.Instrs() // ends immediately
 		},

@@ -28,11 +28,11 @@ import (
 
 // Inclinations returns the distinct inclinations (mod π, sorted) of the
 // move segments among the first n instructions of a program's solo
-// execution. The prefix is drained through the cursor fast path, so
+// execution. The prefix is drained through the program's cursor, so
 // inspecting even long prefixes of Algorithm 1 stays cheap.
 func Inclinations(p prog.Program, n int) []float64 {
 	seen := make(map[float64]bool)
-	cur := prog.NewCursor(p)
+	cur := p()
 	defer cur.Close()
 	for count := 0; count < n; count++ {
 		ins, ok := cur.Next()

@@ -75,12 +75,6 @@ type Stats struct {
 	Workers  int     // workers actually used
 }
 
-// Workers resolves a requested parallelism degree: values ≤ 0 mean
-// GOMAXPROCS, and the result is clamped to n so a small batch never
-// spawns idle goroutines. (It is internal/pool's resolver, re-exported
-// because batch callers size their pools through this package.)
-func Workers(requested, n int) int { return pool.Workers(requested, n) }
-
 // Run executes the jobs on a pool of workers (≤ 0 selects GOMAXPROCS)
 // and returns the results in input order, plus aggregate accounting.
 // Results are identical for every worker count. Jobs carrying equal
@@ -91,8 +85,8 @@ func Run(jobs []Job, workers int) ([]sim.Result, Stats) {
 	results := make([]sim.Result, len(jobs))
 	canon, uniq := Dedup(len(jobs), func(i int) any { return jobs[i].Key })
 
-	w := Workers(workers, len(uniq))
-	Do(len(uniq), w, func(k int) {
+	w := pool.Workers(workers, len(uniq))
+	pool.Do(len(uniq), w, func(k int) {
 		i := uniq[k]
 		results[i] = sim.Run(jobs[i].A, jobs[i].B, jobs[i].Settings)
 	})
@@ -171,12 +165,3 @@ func FoldStats(results []sim.Result, executed, workers int) Stats {
 	mSegments.Add(uint64(max(st.Segments, 0)))
 	return st
 }
-
-// Do runs fn(i) for every i in [0, n) on a pool of `workers`
-// goroutines (callers should pre-resolve the count with Workers). It
-// is the indexed-parallelism primitive under Run — internal/pool's
-// claim-counter loop, re-exported for consumers whose work items are
-// not agent pairs (those use Run). fn must be safe to call
-// concurrently for distinct i; Do returns after every index has been
-// processed.
-func Do(n, workers int, fn func(i int)) { pool.Do(n, workers, fn) }

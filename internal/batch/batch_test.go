@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/inst"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -132,40 +133,21 @@ func TestShortBudgetDoesNotWedgePool(t *testing.T) {
 	}
 }
 
-// TestWorkersResolution pins the clamping rules of the knob.
-func TestWorkersResolution(t *testing.T) {
-	if w := Workers(0, 100); w < 1 {
-		t.Errorf("Workers(0, 100) = %d", w)
-	}
-	if w := Workers(-3, 100); w < 1 {
-		t.Errorf("Workers(-3, 100) = %d", w)
-	}
-	if w := Workers(16, 4); w != 4 {
-		t.Errorf("Workers(16, 4) = %d, want 4 (clamped to batch size)", w)
-	}
-	if w := Workers(2, 0); w != 1 {
-		t.Errorf("Workers(2, 0) = %d, want 1", w)
-	}
-	if w := Workers(3, 100); w != 3 {
-		t.Errorf("Workers(3, 100) = %d, want 3", w)
-	}
-}
-
-// TestDoCoversEveryIndexOnce hammers the claim counter under -race:
-// each index must be visited exactly once, with distinct indices
-// written concurrently.
+// TestDoCoversEveryIndexOnce hammers the claim counter of pool.Do, the
+// primitive under Run, under -race: each index must be visited exactly
+// once, with distinct indices written concurrently.
 func TestDoCoversEveryIndexOnce(t *testing.T) {
 	const n = 10_000
 	visits := make([]int, n)
-	Do(n, 8, func(i int) { visits[i]++ })
+	pool.Do(n, 8, func(i int) { visits[i]++ })
 	for i, v := range visits {
 		if v != 1 {
 			t.Fatalf("index %d visited %d times", i, v)
 		}
 	}
 	// Degenerate shapes must not hang or panic.
-	Do(0, 4, func(int) { t.Error("fn called for n=0") })
-	Do(3, 0, func(int) {})
+	pool.Do(0, 4, func(int) { t.Error("fn called for n=0") })
+	pool.Do(3, 0, func(int) {})
 }
 
 // TestEmptyBatch pins the zero-job edge.

@@ -3,6 +3,7 @@ package batch
 import (
 	"sync"
 
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -108,8 +109,8 @@ func RunStream(jobs []Job, workers int) *Stream {
 	go func() {
 		canon, uniq := Dedup(len(jobs), func(i int) any { return jobs[i].Key })
 		dups := dupsOf(canon)
-		w := Workers(workers, len(uniq))
-		Do(len(uniq), w, func(k int) {
+		w := pool.Workers(workers, len(uniq))
+		pool.Do(len(uniq), w, func(k int) {
 			i := uniq[k]
 			res := sim.Run(jobs[i].A, jobs[i].B, jobs[i].Settings)
 			p.Put(i, res)

@@ -16,7 +16,7 @@ import (
 func streamJob(gate <-chan struct{}) Job {
 	p := prog.Empty()
 	if gate != nil {
-		p = prog.Program(func(yield func(prog.Instr) bool) { <-gate })
+		p = func() prog.Cursor { <-gate; return prog.InstrsCursor() }
 	}
 	in := inst.Instance{R: 0.5, X: 2, Y: 0, Phi: 0, Tau: 1, V: 1, T: 0, Chi: 1}
 	return Job{

@@ -84,7 +84,7 @@ func ZeroWait() Schedule {
 
 // Program returns the CGKK procedure as an infinite program.
 func Program(s Schedule) prog.Program {
-	return prog.CursorProgram(func() prog.Cursor { return ProgramCursor(s) })
+	return func() prog.Cursor { return ProgramCursor(s) }
 }
 
 // ProgramCursor returns the procedure as a bare single-use cursor (the

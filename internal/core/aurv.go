@@ -185,30 +185,30 @@ func blockCursor(i, b int, s Schedule) prog.Cursor {
 // Block1 returns block 1 of phase i: the rotated planar walks that solve
 // the mirror (type 1) instances.
 func Block1(i int) prog.Program {
-	return prog.CursorProgram(func() prog.Cursor { return block1Cursor(i) })
+	return func() prog.Cursor { return block1Cursor(i) }
 }
 
 // Block2 returns block 2 of phase i: wait out the delay, run Latecomers
 // for 2^i local time units, and backtrack to the start.
 func Block2(i int) prog.Program {
-	return prog.CursorProgram(func() prog.Cursor { return block2Cursor(i) })
+	return func() prog.Cursor { return block2Cursor(i) }
 }
 
 // Block3 returns block 3 of phase i: the clock-drift mechanism.
 func Block3(i int, s Schedule) prog.Program {
-	return prog.CursorProgram(func() prog.Cursor { return block3Cursor(i, s) })
+	return func() prog.Cursor { return block3Cursor(i, s) }
 }
 
 // Block4 returns block 4 of phase i: the interleaved-sliced CGKK run.
 func Block4(i int, s Schedule) prog.Program {
-	return prog.CursorProgram(func() prog.Cursor { return block4Cursor(i, s) })
+	return func() prog.Cursor { return block4Cursor(i, s) }
 }
 
 // Phase returns the full phase i (all four blocks in order).
 func Phase(i int, s Schedule) prog.Program {
-	return prog.CursorProgram(func() prog.Cursor {
+	return func() prog.Cursor {
 		return prog.SeqOf(block1Cursor(i), block2Cursor(i), block3Cursor(i, s), block4Cursor(i, s))
-	})
+	}
 }
 
 // aurvCursor is Algorithm AlmostUniversalRV as one flat state machine
@@ -260,5 +260,5 @@ func (c *aurvCursor) Close() {
 // each block's marker fires when the simulation first pulls from that
 // block, so the fields reflect how far a lazy run actually got.
 func Program(s Schedule, p *Progress) prog.Program {
-	return prog.CursorProgram(func() prog.Cursor { return &aurvCursor{s: s, p: p} })
+	return func() prog.Cursor { return &aurvCursor{s: s, p: p} }
 }

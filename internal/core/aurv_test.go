@@ -63,13 +63,12 @@ func TestBlock4SliceCount(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		span := math.Ldexp(1, i)
 		pauses := 0
-		prog.WithBacktrack(Block4(i, Compact()))(func(ins prog.Instr) bool { return true })
-		Block4(i, Compact())(func(ins prog.Instr) bool {
+		prog.Collect(prog.WithBacktrack(Block4(i, Compact())))
+		for ins := range prog.All(Block4(i, Compact())) {
 			if ins.Op == prog.OpWait && ins.Amount == span {
 				pauses++
 			}
-			return true
-		})
+		}
 		if want := 1 << uint(2*i); pauses != want {
 			t.Errorf("phase %d: %d pauses, want %d", i, pauses, want)
 		}

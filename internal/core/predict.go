@@ -15,7 +15,7 @@ import (
 // backtrack over that prefix.
 func moveTimeWithin(p prog.Program, T float64) float64 {
 	elapsed, moves := 0.0, 0.0
-	p(func(ins prog.Instr) bool {
+	for ins := range prog.All(p) {
 		d := ins.Duration()
 		take := d
 		if elapsed+d > T {
@@ -25,8 +25,10 @@ func moveTimeWithin(p prog.Program, T float64) float64 {
 			moves += take
 		}
 		elapsed += d
-		return elapsed < T
-	})
+		if elapsed >= T {
+			break
+		}
+	}
 	return moves
 }
 

@@ -36,22 +36,23 @@ const (
 
 func init() {
 	wire.RegisterAlgorithm(algPanic, func(inst.Instance) prog.Program {
-		return prog.Program(func(yield func(prog.Instr) bool) {
+		return func() prog.Cursor {
 			panic("poison job pulled")
-		})
+		}
 	})
 	wire.RegisterAlgorithm(algExit, func(inst.Instance) prog.Program {
-		return prog.Program(func(yield func(prog.Instr) bool) {
+		return func() prog.Cursor {
 			if os.Getenv(WorkerEnv) != "" {
 				os.Exit(3) // the worker-killing poison job
 			}
 			panic("test-chaos-exit executed outside a worker subprocess")
-		})
+		}
 	})
 	wire.RegisterAlgorithm(algSlow, func(inst.Instance) prog.Program {
-		return prog.Program(func(yield func(prog.Instr) bool) {
+		return func() prog.Cursor {
 			time.Sleep(400 * time.Millisecond)
-		})
+			return prog.InstrsCursor()
+		}
 	})
 }
 

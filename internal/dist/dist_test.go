@@ -133,7 +133,7 @@ func TestTCPTransport(t *testing.T) {
 // until the gate closes, then ends without any instruction — the
 // deterministic handle for observing streaming before batch completion.
 func gatedJob(gate <-chan struct{}) batch.Job {
-	blocked := prog.Program(func(yield func(prog.Instr) bool) { <-gate })
+	blocked := func() prog.Cursor { <-gate; return prog.InstrsCursor() }
 	in := inst.Instance{R: 0.5, X: 2, Y: 0, Phi: 0, Tau: 1, V: 1, T: 0, Chi: 1}
 	return batch.Job{
 		A:        sim.AgentSpec{Attrs: in.AgentA(), Prog: blocked, Radius: in.R},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -300,7 +301,7 @@ func runOrFallback(jobs []batch.Job, localWorkers int, cfg Config, start func() 
 	// (what a clean run of this batch executes); the suffix re-dedups
 	// independently, so the actual execution count may have been higher.
 	_, uniq := batch.Dedup(len(jobs), func(i int) any { return jobs[i].Key })
-	return results, batch.FoldStats(results, len(uniq), batch.Workers(localWorkers, len(jobs)))
+	return results, batch.FoldStats(results, len(uniq), pool.Workers(localWorkers, len(jobs)))
 }
 
 // streamOrFallback implements the channel-shaped degradation policy
@@ -391,11 +392,11 @@ func run(f *Fleet, jobs []batch.Job, canon, uniq, remote, local []int, localWork
 	var wg sync.WaitGroup
 	localPool := 0
 	if len(local) > 0 {
-		localPool = batch.Workers(localWorkers, len(local))
+		localPool = pool.Workers(localWorkers, len(local))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			batch.Do(len(local), localPool, func(k int) {
+			pool.Do(len(local), localPool, func(k int) {
 				i := local[k]
 				deliver(i, sim.Run(jobs[i].A, jobs[i].B, jobs[i].Settings))
 			})

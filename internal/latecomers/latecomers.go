@@ -89,12 +89,12 @@ func phaseCursor(k int) prog.Cursor {
 
 // Phase returns phase k of the procedure (both mechanisms, sweep first).
 func Phase(k int) prog.Program {
-	return prog.CursorProgram(func() prog.Cursor { return phaseCursor(k) })
+	return func() prog.Cursor { return phaseCursor(k) }
 }
 
 // Program returns the full infinite procedure.
 func Program() prog.Program {
-	return prog.CursorProgram(func() prog.Cursor { return ProgramCursor() })
+	return func() prog.Cursor { return ProgramCursor() }
 }
 
 // ProgramCursor returns the procedure as a bare single-use cursor (the

@@ -17,7 +17,7 @@
 //     histograms are plain atomics; vector children are resolved (and
 //     allocated) once at slot-creation time and cached by the caller,
 //     so the hot path is a single atomic RMW. TestObsAllocFree pins
-//     this at 0 allocs/op, same discipline as TestCursorOfAllocFree.
+//     this at 0 allocs/op, same discipline as TestNewCursorAllocs.
 //  3. No dependencies. Exposition is Prometheus text format and plain
 //     JSON, hand-rolled over the stdlib; the HTTP surface is net/http.
 //

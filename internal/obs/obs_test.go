@@ -23,7 +23,7 @@ var (
 // children. The flight recorder sits on the dispatch hot path; an
 // allocating record path would be a perf regression AND a GC-pressure
 // perturbation the purity argument can't excuse. Same discipline as
-// TestCursorOfAllocFree in internal/prog.
+// TestNewCursorAllocs in internal/prog.
 func TestObsAllocFree(t *testing.T) {
 	child := tCVec.With("slot-a") // resolved once, cached — the hot-path idiom
 	gchild := tGVec.With("slot-a")

@@ -1,48 +1,13 @@
 // Cursor engine: direct-call pull iteration over programs.
 //
-// The public Program type stays iter.Seq[Instr] (push), but every
-// combinator in this package is backed by a Cursor — a plain struct
-// whose Next method returns the following instruction with an ordinary
-// function call. Pulling from a cursor therefore costs a handful of
-// nanoseconds, where iter.Pull on a push program costs a runtime
-// coroutine switch per instruction plus a walk through the whole
-// combinator closure stack. The astronomically scheduled programs of
+// A Program is a factory of Cursors — plain structs whose Next method
+// returns the following instruction with an ordinary function call, so
+// pulling an instruction costs a handful of nanoseconds and no
+// coroutine switch. The astronomically scheduled programs of
 // Algorithm 1 emit millions of instructions per run, making this the
-// hottest path of the simulator.
-//
-// Adapters run in both directions:
-//
-//   - CursorProgram wraps a cursor factory into an ordinary Program, so
-//     cursor-backed programs compose with hand-written push closures and
-//     range-over-func loops transparently;
-//   - NewCursor returns a pull cursor for ANY program: the registered
-//     factory when the program is cursor-backed (the fast path the
-//     simulator takes), or an iter.Pull adapter otherwise.
-//
-// Detection is zero-cost and side-effect-free: all CursorProgram
-// closures share one code pointer (the function is noinline, so the
-// literal is never duplicated into callers), and the factory is
-// recovered by invoking the closure with a sentinel yield — a code path
-// that executes no program code. Factory recovery is lock-free AND
-// allocation-free: the closure parks its factory in a cell of a fixed
-// handoff array (claimed by compare-and-swap, so concurrent probes
-// never contend on a shared mutex) and smuggles the cell index through
-// the sentinel call's Instr; the sentinel yield — a pooled object, not
-// a per-probe closure — copies the factory out of the cell into its
-// probe's slot. The whole exchange is synchronous on the prober's own
-// goroutine, touches no map, and allocates nothing in steady state:
-// the probe machinery used to cost ~5 heap allocations per NewCursor
-// (a sync.Map entry, a fresh sentinel closure, an escaping result
-// slot), which doubled the simulator's per-segment allocations on
-// generator-built programs (see BENCH_PR3 → BENCH_PR5 rot).
+// hottest path of the simulator. Every combinator of this package
+// returns a factory of one of the cursor types below.
 package prog
-
-import (
-	"iter"
-	"reflect"
-	"sync"
-	"sync/atomic"
-)
 
 // Cursor is a single-use pull stream of instructions. Next returns the
 // following instruction, or ok == false when the program is exhausted.
@@ -53,167 +18,9 @@ type Cursor interface {
 	Close()
 }
 
-// CursorProgram wraps a cursor factory into a Program. The factory is
-// invoked once per iteration of the returned program, so the program
-// remains re-iterable as the Program contract requires; mk must be safe
-// to call concurrently if the program is shared between goroutines.
-//
-//go:noinline
-func CursorProgram(mk func() Cursor) Program {
-	return func(yield func(Instr) bool) {
-		if isProbe(yield) {
-			// Factory handoff (see probe): claim a cell of the fixed
-			// handoff array, park mk there, and tell the probe yield the
-			// cell index through the one channel available — the Instr
-			// argument. The yield call is synchronous on this goroutine,
-			// so between the claim and the release only this goroutine
-			// touches the cell's factory; the CAS only fences off other
-			// goroutines' concurrent probes that hashed to the same cell
-			// (they step to the next cell instead of waiting).
-			for {
-				id := probeSeq.Add(1) % probeCells
-				c := &probeArray[id]
-				if !c.claimed.CompareAndSwap(0, 1) {
-					continue
-				}
-				c.mk = mk
-				yield(Instr{Amount: float64(id)})
-				c.mk = nil
-				c.claimed.Store(0)
-				return
-			}
-		}
-		c := mk()
-		defer c.Close()
-		for {
-			ins, ok := c.Next()
-			if !ok {
-				return
-			}
-			if !yield(ins) {
-				return
-			}
-		}
-	}
-}
-
-// probeCells sizes the factory-handoff array. A cell is held only for
-// the handful of instructions between a probe's CAS claim and its
-// release inside one CursorOf call, so the array bounds the number of
-// goroutines *simultaneously inside that window*, not the number of
-// programs or goroutines overall; 256 is far beyond any plausible
-// concurrency spike, and a full array only costs a step to the next
-// cell, never a stall.
-const probeCells = 256
-
-// probeCell is one cell of the handoff array: a CAS-claimed flag plus
-// the factory in transit. Copying a func value into the cell allocates
-// nothing — the funcval already lives on the heap.
-type probeCell struct {
-	claimed atomic.Uint32
-	mk      func() Cursor
-}
-
-// probe is the reusable receiving end of one factory recovery: yield is
-// the sentinel closure handed to the program (all instances share one
-// code pointer, which is what isProbe tests), and mk is where it drops
-// the factory it collects from the handoff cell named by the sentinel
-// call's Instr.Amount. Probes are pooled, so steady-state recovery
-// performs zero allocations.
-type probe struct {
-	mk    func() Cursor
-	yield func(Instr) bool
-}
-
-//go:noinline
-func newProbe() *probe {
-	pr := &probe{}
-	pr.yield = func(ins Instr) bool {
-		pr.mk = probeArray[uint64(ins.Amount)%probeCells].mk
-		return false
-	}
-	return pr
-}
-
-var (
-	probeYieldPtr = reflect.ValueOf(newProbe().yield).Pointer()
-	// cursorProgPtr is the code pointer shared by every closure
-	// CursorProgram returns (the function is noinline, so the literal has
-	// exactly one symbol).
-	cursorProgPtr = reflect.ValueOf(CursorProgram(func() Cursor { return emptyCursor{} })).Pointer()
-
-	// The lock-free factory-handoff rendezvous: the CursorProgram
-	// closure CAS-claims a cell, parks its factory, and yields the cell
-	// index to the sentinel; the sentinel copies the factory into its
-	// probe. Cells are released before the probe call returns; distinct
-	// in-flight probes hold distinct cells, so parallel cursor creation
-	// scales instead of serializing on a process-wide mutex.
-	probeSeq   atomic.Uint64
-	probeArray [probeCells]probeCell
-
-	probePool = sync.Pool{New: func() any { return newProbe() }}
-)
-
-func isProbe(yield func(Instr) bool) bool {
-	return reflect.ValueOf(yield).Pointer() == probeYieldPtr
-}
-
-// CursorOf reports whether the program is cursor-backed and, if so,
-// returns its cursor factory. The check never executes program code,
-// takes no locks, allocates nothing in steady state, and is safe for
-// unbounded concurrency.
-func CursorOf(p Program) (func() Cursor, bool) {
-	if p == nil {
-		return nil, false
-	}
-	if reflect.ValueOf(p).Pointer() != cursorProgPtr {
-		return nil, false
-	}
-	pr := probePool.Get().(*probe)
-	pr.mk = nil
-	p(pr.yield) // the CursorProgram closure only hands over its factory
-	mk := pr.mk
-	pr.mk = nil
-	probePool.Put(pr)
-	return mk, mk != nil
-}
-
-// CursorFactory returns a factory of pull cursors for any program: the
-// registered factory for cursor-backed programs, or an iter.Pull
-// adapter for plain push closures.
-func CursorFactory(p Program) func() Cursor {
-	if mk, ok := CursorOf(p); ok {
-		return mk
-	}
-	return func() Cursor {
-		next, stop := iter.Pull(p)
-		return &pullCursor{next: next, stop: stop}
-	}
-}
-
-// NewCursor returns a pull cursor over the program: the direct-call
-// fast path when the program is cursor-backed, an iter.Pull coroutine
-// adapter otherwise.
-func NewCursor(p Program) Cursor {
-	return CursorFactory(p)()
-}
-
-// Opaque wraps a program in a plain closure, hiding any cursor backing.
-// Consumers (in particular the simulator) then fall back to the
-// iter.Pull path. It exists for differential testing and benchmarking
-// of the two engines against each other.
-func Opaque(p Program) Program {
-	return func(yield func(Instr) bool) { p(yield) }
-}
-
-// pullCursor adapts a push program via iter.Pull (the slow path).
-type pullCursor struct {
-	next func() (Instr, bool)
-	stop func()
-}
-
-func (c *pullCursor) Next() (Instr, bool) { return c.next() }
-func (c *pullCursor) Close()              { c.stop() }
+// NewCursor opens a pull cursor over the program. It is p(), kept as a
+// named entry point because the repository benchmark calls it.
+func NewCursor(p Program) Cursor { return p() }
 
 // ---- Cursor implementations of the combinators. ----
 
@@ -242,9 +49,9 @@ func (c *sliceCursor) Next() (Instr, bool) {
 }
 func (c *sliceCursor) Close() { c.i = len(c.list) }
 
-// seqCursor concatenates sub-cursors created lazily from factories.
+// seqCursor concatenates sub-cursors opened lazily from programs.
 type seqCursor struct {
-	mks []func() Cursor
+	ps  []Program
 	cur Cursor
 	i   int
 }
@@ -252,10 +59,10 @@ type seqCursor struct {
 func (c *seqCursor) Next() (Instr, bool) {
 	for {
 		if c.cur == nil {
-			if c.i >= len(c.mks) {
+			if c.i >= len(c.ps) {
 				return Instr{}, false
 			}
-			c.cur = c.mks[c.i]()
+			c.cur = c.ps[c.i]()
 			c.i++
 		}
 		if ins, ok := c.cur.Next(); ok {
@@ -271,7 +78,7 @@ func (c *seqCursor) Close() {
 		c.cur.Close()
 		c.cur = nil
 	}
-	c.i = len(c.mks)
+	c.i = len(c.ps)
 }
 
 // foreverCursor runs gen(1), gen(2), … without end. gen yields cursors

@@ -3,13 +3,12 @@ package prog
 // Cursor-level combinator constructors: the allocation-lean spelling of
 // the Program combinators for hot builders.
 //
-// Every Program-returning combinator necessarily allocates its wrapper
-// closure (CursorProgram) and, for Seq, its factory slice — cheap once,
-// but the algorithm builders construct combinator trees *per phase*
-// (and block 1 per epoch), so on the simulator's hot path those
-// wrappers dominated program-construction allocations. A builder that
-// composes cursors directly pays one cursor struct per combinator and
-// wraps a Program around the outermost level only.
+// Every Program-returning combinator allocates its factory closure —
+// cheap once, but the algorithm builders construct combinator trees
+// *per phase* (and block 1 per epoch), so on the simulator's hot path
+// those closures dominated program-construction allocations. A builder
+// that composes cursors directly pays one cursor struct per combinator
+// and wraps a factory around the outermost level only.
 //
 // Semantics are identical to the Program combinators — these return
 // the very same cursor implementations — with one deliberate
@@ -21,8 +20,8 @@ package prog
 // pins this.
 //
 // A cursor is single-use: unlike a Program, it cannot be re-iterated —
-// callers that need re-iterability wrap with CursorProgram and build a
-// fresh cursor per factory call.
+// callers that need re-iterability write a Program literal,
+// func() Cursor { … }, that builds a fresh cursor per call.
 
 // SeqOf returns a cursor that concatenates the given cursors in order.
 func SeqOf(cs ...Cursor) Cursor { return &seqCursors{cs: cs} }

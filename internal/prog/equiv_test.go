@@ -2,25 +2,28 @@ package prog
 
 // Differential suite for the cursor engine: every combinator is
 // compared against a frozen reference copy of the pre-cursor push
-// implementation (refXxx below). The reference closures are the exact
-// seed-era code, with one deliberate divergence: refBudget carries the
-// iter.Seq contract fix (no padding wait after the consumer has
-// stopped), which the cursor engine satisfies structurally and which
-// the seed implementation violated — see TestBudgetEarlyBreakRegression.
+// implementation (refXxx below, typed as plain iter.Seq[Instr]). The
+// reference closures are the exact seed-era code, with one deliberate
+// divergence: refBudget carries the iter.Seq contract fix (no padding
+// wait after the consumer has stopped), which the cursor engine
+// satisfies structurally and which the seed implementation violated —
+// see TestBudgetEarlyBreakRegression.
 //
 // Equality is exact (float bit equality): the cursor implementations
 // perform the same arithmetic in the same order as the closures, so any
 // divergence is a real behavior change, not rounding.
 
 import (
+	"iter"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // ---- Frozen reference implementations (seed push closures). ----
 
-func refInstrs(list ...Instr) Program {
+func refInstrs(list ...Instr) iter.Seq[Instr] {
 	return func(yield func(Instr) bool) {
 		for _, ins := range list {
 			if ins.Amount == 0 {
@@ -33,7 +36,7 @@ func refInstrs(list ...Instr) Program {
 	}
 }
 
-func refSeq(ps ...Program) Program {
+func refSeq(ps ...iter.Seq[Instr]) iter.Seq[Instr] {
 	return func(yield func(Instr) bool) {
 		for _, p := range ps {
 			stop := false
@@ -51,7 +54,7 @@ func refSeq(ps ...Program) Program {
 	}
 }
 
-func refForever(gen func(i int) Program) Program {
+func refForever(gen func(i int) iter.Seq[Instr]) iter.Seq[Instr] {
 	return func(yield func(Instr) bool) {
 		for i := 1; ; i++ {
 			stop := false
@@ -69,7 +72,7 @@ func refForever(gen func(i int) Program) Program {
 	}
 }
 
-func refRepeat(n int, gen func(j int) Program) Program {
+func refRepeat(n int, gen func(j int) iter.Seq[Instr]) iter.Seq[Instr] {
 	return func(yield func(Instr) bool) {
 		for j := 0; j < n; j++ {
 			stop := false
@@ -87,7 +90,7 @@ func refRepeat(n int, gen func(j int) Program) Program {
 	}
 }
 
-func refRotate(p Program, alpha float64) Program {
+func refRotate(p iter.Seq[Instr], alpha float64) iter.Seq[Instr] {
 	return func(yield func(Instr) bool) {
 		p(func(ins Instr) bool {
 			if ins.Op == OpMove {
@@ -101,7 +104,7 @@ func refRotate(p Program, alpha float64) Program {
 // refBudget is the seed implementation plus the contract fix: the
 // stopped flag suppresses the padding wait once the consumer has
 // returned false.
-func refBudget(p Program, T float64) Program {
+func refBudget(p iter.Seq[Instr], T float64) iter.Seq[Instr] {
 	return func(yield func(Instr) bool) {
 		elapsed := 0.0
 		stopped := false
@@ -130,7 +133,7 @@ func refBudget(p Program, T float64) Program {
 	}
 }
 
-func refTimeSlice(p Program, sliceDur, pause float64) Program {
+func refTimeSlice(p iter.Seq[Instr], sliceDur, pause float64) iter.Seq[Instr] {
 	return func(yield func(Instr) bool) {
 		inSlice := 0.0
 		stop := false
@@ -173,7 +176,7 @@ func refTimeSlice(p Program, sliceDur, pause float64) Program {
 	}
 }
 
-func refRecorded(p Program, rec *[]Instr) Program {
+func refRecorded(p iter.Seq[Instr], rec *[]Instr) iter.Seq[Instr] {
 	return func(yield func(Instr) bool) {
 		p(func(ins Instr) bool {
 			*rec = append(*rec, ins)
@@ -182,7 +185,7 @@ func refRecorded(p Program, rec *[]Instr) Program {
 	}
 }
 
-func refBacktrackOf(rec []Instr) Program {
+func refBacktrackOf(rec []Instr) iter.Seq[Instr] {
 	return func(yield func(Instr) bool) {
 		for i := len(rec) - 1; i >= 0; i-- {
 			ins := rec[i].Reversed()
@@ -196,7 +199,7 @@ func refBacktrackOf(rec []Instr) Program {
 	}
 }
 
-func refWithBacktrack(p Program) Program {
+func refWithBacktrack(p iter.Seq[Instr]) iter.Seq[Instr] {
 	return func(yield func(Instr) bool) {
 		var rec []Instr
 		stop := false
@@ -228,17 +231,31 @@ func instrsEqual(a, b []Instr) bool {
 	return true
 }
 
-// assertEquiv drains both programs fully and at every truncation length
-// up to the full stream (exercising early-stop paths), requiring exact
-// instruction equality throughout.
-func assertEquiv(t *testing.T, name string, cursorP, refP Program) {
+// refTake returns at most the first n instructions of a reference
+// stream (the reference-side Take, for infinite references).
+func refTake(s iter.Seq[Instr], n int) []Instr {
+	var out []Instr
+	for ins := range s {
+		if len(out) == n {
+			break
+		}
+		out = append(out, ins)
+	}
+	return out
+}
+
+// assertEquiv drains the cursor program and the collected reference
+// fully and at every truncation length up to the full stream
+// (exercising early-stop paths), requiring exact instruction equality
+// throughout.
+func assertEquiv(t *testing.T, name string, cursorP Program, refP iter.Seq[Instr]) {
 	t.Helper()
-	want := Collect(refP)
+	want := slices.Collect(refP)
 	got := Collect(cursorP)
 	if !instrsEqual(got, want) {
 		t.Fatalf("%s: cursor stream diverges from reference\ncursor: %v\nref:    %v", name, got, want)
 	}
-	for n := 1; n <= len(want); n++ {
+	for n := 0; n <= len(want); n++ {
 		if g := Take(cursorP, n); !instrsEqual(g, want[:min(n, len(want))]) {
 			t.Fatalf("%s: Take(%d) = %v, want prefix %v", name, n, g, want[:min(n, len(want))])
 		}
@@ -276,7 +293,8 @@ func TestCursorEquivInstrs(t *testing.T) {
 func TestCursorEquivSeq(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	for trial := 0; trial < 50; trial++ {
-		var cs, rs []Program
+		var cs []Program
+		var rs []iter.Seq[Instr]
 		for k := 0; k < rng.Intn(4); k++ {
 			list := randInstrs(rng, rng.Intn(5))
 			cs = append(cs, Instrs(list...))
@@ -288,9 +306,9 @@ func TestCursorEquivSeq(t *testing.T) {
 
 func TestCursorEquivForever(t *testing.T) {
 	gen := func(i int) Program { return Instrs(Wait(float64(i)), Move(0.1*float64(i), 1)) }
-	refGen := func(i int) Program { return refInstrs(Wait(float64(i)), Move(0.1*float64(i), 1)) }
+	refGen := func(i int) iter.Seq[Instr] { return refInstrs(Wait(float64(i)), Move(0.1*float64(i), 1)) }
 	got := Take(Forever(gen), 17)
-	want := Take(refForever(refGen), 17)
+	want := refTake(refForever(refGen), 17)
 	if !instrsEqual(got, want) {
 		t.Fatalf("Forever: %v vs %v", got, want)
 	}
@@ -305,7 +323,7 @@ func TestCursorEquivRepeat(t *testing.T) {
 			lists[j] = randInstrs(rng, 1+rng.Intn(4))
 		}
 		gen := func(j int) Program { return Instrs(lists[j]...) }
-		refGen := func(j int) Program { return refInstrs(lists[j]...) }
+		refGen := func(j int) iter.Seq[Instr] { return refInstrs(lists[j]...) }
 		assertEquiv(t, "Repeat", Repeat(n, gen), refRepeat(n, refGen))
 	}
 }
@@ -352,7 +370,7 @@ func TestCursorEquivRecorded(t *testing.T) {
 		list := randInstrs(rng, 1+rng.Intn(6))
 		var recC, recR []Instr
 		gotC := Collect(Recorded(Instrs(list...), &recC))
-		gotR := Collect(refRecorded(refInstrs(list...), &recR))
+		gotR := slices.Collect(refRecorded(refInstrs(list...), &recR))
 		if !instrsEqual(gotC, gotR) || !instrsEqual(recC, recR) {
 			t.Fatalf("Recorded diverges: %v/%v vs %v/%v", gotC, recC, gotR, recR)
 		}
@@ -381,8 +399,8 @@ func TestCursorEquivNestedTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(110))
 	for trial := 0; trial < 60; trial++ {
 		depth := 1 + rng.Intn(4)
-		var build func(d int) (Program, Program)
-		build = func(d int) (Program, Program) {
+		var build func(d int) (Program, iter.Seq[Instr])
+		build = func(d int) (Program, iter.Seq[Instr]) {
 			if d == 0 {
 				list := randInstrs(rng, 1+rng.Intn(4))
 				return Instrs(list...), refInstrs(list...)
@@ -410,68 +428,7 @@ func TestCursorEquivNestedTrees(t *testing.T) {
 	}
 }
 
-// The cursor fast path and the iter.Pull fallback must agree on the
-// same program: NewCursor(p) vs NewCursor(Opaque(p)).
-func TestCursorMatchesPullFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(111))
-	for trial := 0; trial < 30; trial++ {
-		list := randInstrs(rng, 1+rng.Intn(6))
-		p := WithBacktrack(TimeSlice(Instrs(list...), 0.3+rng.Float64(), 1))
-		fast := NewCursor(p)
-		slow := NewCursor(Opaque(p))
-		for {
-			a, okA := fast.Next()
-			b, okB := slow.Next()
-			if okA != okB || a != b {
-				t.Fatalf("fast/slow diverge: %v,%v vs %v,%v", a, okA, b, okB)
-			}
-			if !okA {
-				break
-			}
-		}
-		fast.Close()
-		slow.Close()
-	}
-}
-
 // ---- Cursor plumbing. ----
-
-func TestCursorOfDetection(t *testing.T) {
-	if _, ok := CursorOf(Instrs(Move(0, 1))); !ok {
-		t.Error("combinator program not detected as cursor-backed")
-	}
-	if _, ok := CursorOf(Opaque(Instrs(Move(0, 1)))); ok {
-		t.Error("opaque program detected as cursor-backed")
-	}
-	if _, ok := CursorOf(nil); ok {
-		t.Error("nil program detected as cursor-backed")
-	}
-	plain := func(yield func(Instr) bool) { yield(Move(0, 1)) }
-	if _, ok := CursorOf(plain); ok {
-		t.Error("hand-written closure detected as cursor-backed")
-	}
-}
-
-func TestNewCursorOnPlainClosure(t *testing.T) {
-	plain := func(yield func(Instr) bool) {
-		for i := 1; i <= 3; i++ {
-			if !yield(Wait(float64(i))) {
-				return
-			}
-		}
-	}
-	c := NewCursor(plain)
-	defer c.Close()
-	for i := 1; i <= 3; i++ {
-		ins, ok := c.Next()
-		if !ok || ins.Amount != float64(i) {
-			t.Fatalf("pull adapter step %d: %v %v", i, ins, ok)
-		}
-	}
-	if _, ok := c.Next(); ok {
-		t.Fatal("pull adapter did not exhaust")
-	}
-}
 
 func TestCursorCloseIdempotent(t *testing.T) {
 	for name, p := range map[string]Program{
@@ -482,7 +439,6 @@ func TestCursorCloseIdempotent(t *testing.T) {
 		"WithBacktrack": WithBacktrack(Instrs(Move(0, 1))),
 		"Forever":       Forever(func(i int) Program { return Instrs(Wait(1)) }),
 		"Repeat":        Repeat(3, func(j int) Program { return Instrs(Wait(1)) }),
-		"Opaque":        Opaque(Instrs(Move(0, 1))),
 	} {
 		c := NewCursor(p)
 		c.Next()
@@ -534,21 +490,12 @@ func TestBudgetEarlyBreakRegression(t *testing.T) {
 	// try to emit the padding wait after the break.
 	b := Budget(Instrs(Move(0, 1), Move(0, 1)), 100)
 	n := 0
-	for range b {
+	for range All(b) {
 		n++
 		break
 	}
 	if n != 1 {
 		t.Fatalf("saw %d instructions before break", n)
-	}
-	// Same through the iter.Pull fallback.
-	n = 0
-	for range Opaque(b) {
-		n++
-		break
-	}
-	if n != 1 {
-		t.Fatalf("opaque path: saw %d instructions before break", n)
 	}
 	// And the padding must still appear on a full drain.
 	got := Collect(b)

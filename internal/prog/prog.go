@@ -12,19 +12,14 @@
 // which makes time-budgeted composition (lines 10, 17 of Algorithm 1)
 // uniform.
 //
-// Programs are lazy push-iterators (iter.Seq[Instr]); the rendezvous
+// A Program is a lazy instruction stream, represented as a factory of
+// pull cursors (cursor.go): every call opens a fresh Cursor, so a
+// program can be iterated any number of times. The rendezvous
 // algorithms are infinite programs and the simulator pulls from them on
-// demand. Combinators provided here implement exactly the program surgery
-// Algorithm 1 performs: rotation into a Rot(α) system, time budgeting,
-// time slicing with interleaved waits, and path recording + backtracking.
-//
-// Every combinator is backed by the direct-call cursor engine of
-// cursor.go: the returned Program is still an ordinary iter.Seq[Instr],
-// but consumers that pull many instructions (the simulator above all)
-// recover the underlying Cursor via NewCursor and bypass the iter.Pull
-// coroutine entirely. Hand-written push closures remain first-class:
-// they compose with the combinators and the simulator transparently,
-// only without the fast path.
+// demand. Combinators provided here implement exactly the program
+// surgery Algorithm 1 performs: rotation into a Rot(α) system, time
+// budgeting, time slicing with interleaved waits, and path recording +
+// backtracking. All adapts a program to a range-over-func loop.
 package prog
 
 import (
@@ -86,34 +81,47 @@ func (ins Instr) Split(d float64) (head, tail Instr) {
 	return
 }
 
-// A Program is a lazy instruction stream. Yield false stops generation.
-type Program = iter.Seq[Instr]
+// A Program is a lazy, re-iterable instruction stream: each call opens
+// a fresh single-use Cursor over it. A program shared between
+// goroutines must be safe to call concurrently.
+type Program func() Cursor
+
+// All returns the program as a push iterator for range loops. Breaking
+// out of the loop closes the cursor.
+func All(p Program) iter.Seq[Instr] {
+	return func(yield func(Instr) bool) {
+		c := p()
+		defer c.Close()
+		for {
+			ins, ok := c.Next()
+			if !ok || !yield(ins) {
+				return
+			}
+		}
+	}
+}
 
 // Empty is the program with no instructions.
 func Empty() Program {
-	return CursorProgram(func() Cursor { return emptyCursor{} })
+	return func() Cursor { return emptyCursor{} }
 }
 
 // Instrs returns a program that emits the given instructions.
 func Instrs(list ...Instr) Program {
-	return CursorProgram(func() Cursor { return &sliceCursor{list: list} })
+	return func() Cursor { return &sliceCursor{list: list} }
 }
 
 // Seq concatenates programs.
 func Seq(ps ...Program) Program {
-	mks := make([]func() Cursor, len(ps))
-	for i, p := range ps {
-		mks[i] = CursorFactory(p)
-	}
-	return CursorProgram(func() Cursor { return &seqCursor{mks: mks} })
+	return func() Cursor { return &seqCursor{ps: ps} }
 }
 
 // Forever yields the programs produced by gen(1), gen(2), … without end.
 // It is the "repeat" loop of Algorithm 1. gen is invoked lazily, each
 // round's program only when the previous round has been exhausted.
 func Forever(gen func(i int) Program) Program {
-	genC := func(i int) Cursor { return NewCursor(gen(i)) }
-	return CursorProgram(func() Cursor { return &foreverCursor{gen: genC} })
+	genC := func(i int) Cursor { return gen(i)() }
+	return func() Cursor { return &foreverCursor{gen: genC} }
 }
 
 // Repeat yields the programs produced by gen(0), …, gen(n-1): the
@@ -121,24 +129,22 @@ func Forever(gen func(i int) Program) Program {
 // Algorithm 1 (block 1) and the Latecomers sweep. gen is invoked
 // lazily.
 func Repeat(n int, gen func(j int) Program) Program {
-	genC := func(j int) Cursor { return NewCursor(gen(j)) }
-	return CursorProgram(func() Cursor { return &repeatCursor{gen: genC, n: n} })
+	genC := func(j int) Cursor { return gen(j)() }
+	return func() Cursor { return &repeatCursor{gen: genC, n: n} }
 }
 
 // OnStart invokes fn every time iteration of the program begins (before
 // its first instruction is produced). Algorithm 1 uses it to expose
 // phase/block progress to observers.
 func OnStart(p Program, fn func()) Program {
-	mk := CursorFactory(p)
-	return CursorProgram(func() Cursor { fn(); return mk() })
+	return func() Cursor { fn(); return p() }
 }
 
 // Rotate re-expresses a program in the local system Rot(alpha): every
 // move direction is advanced by alpha (counterclockwise in the agent's
 // own system, per §2 of the paper).
 func Rotate(p Program, alpha float64) Program {
-	mk := CursorFactory(p)
-	return CursorProgram(func() Cursor { return &rotateCursor{src: mk(), alpha: alpha} })
+	return func() Cursor { return &rotateCursor{src: p(), alpha: alpha} }
 }
 
 // Budget truncates a program after exactly T local time units, splitting
@@ -148,10 +154,9 @@ func Rotate(p Program, alpha float64) Program {
 // still consumes exactly T local time (an agent that has finished early
 // simply idles; durations in the analysis assume the full window). The
 // padding is only produced while the consumer is still pulling — a
-// consumer that stops early never receives it (the iter.Seq contract).
+// consumer that stops early never receives it.
 func Budget(p Program, T float64) Program {
-	mk := CursorFactory(p)
-	return CursorProgram(func() Cursor { return &budgetCursor{src: mk(), T: T} })
+	return func() Cursor { return &budgetCursor{src: p(), T: T} }
 }
 
 // TimeSlice cuts a program into consecutive slices of sliceDur local time
@@ -159,74 +164,74 @@ func Budget(p Program, T float64) Program {
 // of Algorithm 1: S₁ wait(2^i) S₂ wait(2^i) … Slices are formed by
 // splitting instructions exactly at slice boundaries.
 func TimeSlice(p Program, sliceDur, pause float64) Program {
-	mk := CursorFactory(p)
-	return CursorProgram(func() Cursor {
-		return &timeSliceCursor{src: mk(), sliceDur: sliceDur, pause: pause}
-	})
+	return func() Cursor {
+		return &timeSliceCursor{src: p(), sliceDur: sliceDur, pause: pause}
+	}
 }
 
 // Recorded runs a program while appending every emitted instruction to
 // *rec (which the caller typically backtracks afterwards). Instructions
 // are recorded as they are pulled by the consumer.
 func Recorded(p Program, rec *[]Instr) Program {
-	mk := CursorFactory(p)
-	return CursorProgram(func() Cursor { return &recordedCursor{src: mk(), rec: rec} })
+	return func() Cursor { return &recordedCursor{src: p(), rec: rec} }
 }
 
 // BacktrackOf returns the program that retraces the recorded instructions
 // backwards (moves reversed, waits skipped), returning the agent to the
 // point where the recording began.
 func BacktrackOf(rec []Instr) Program {
-	return CursorProgram(func() Cursor { return &backtrackCursor{rec: rec, i: len(rec) - 1} })
+	return func() Cursor { return &backtrackCursor{rec: rec, i: len(rec) - 1} }
 }
 
 // WithBacktrack emits p and then the reverse of everything p emitted.
 // It implements the pattern of lines 10–12 and 18–20 of Algorithm 1.
 func WithBacktrack(p Program) Program {
-	mk := CursorFactory(p)
-	return CursorProgram(func() Cursor { return &withBacktrackCursor{src: mk()} })
+	return func() Cursor { return &withBacktrackCursor{src: p()} }
 }
 
 // TotalDuration sums the local durations of a finite program. It must not
 // be called on infinite programs.
 func TotalDuration(p Program) float64 {
 	sum := 0.0
-	p(func(ins Instr) bool {
+	for ins := range All(p) {
 		sum += ins.Duration()
-		return true
-	})
+	}
 	return sum
 }
 
 // Displacement returns the net local displacement of a finite program.
 func Displacement(p Program) (dx, dy float64) {
-	p(func(ins Instr) bool {
+	for ins := range All(p) {
 		if ins.Op == OpMove {
 			s, c := math.Sincos(ins.Theta)
 			dx += c * ins.Amount
 			dy += s * ins.Amount
 		}
-		return true
-	})
+	}
 	return
 }
 
 // Collect materializes a finite program into a slice (testing helper).
 func Collect(p Program) []Instr {
 	var out []Instr
-	p(func(ins Instr) bool {
+	for ins := range All(p) {
 		out = append(out, ins)
-		return true
-	})
+	}
 	return out
 }
 
-// Take returns at most the first n instructions of a program.
+// Take returns at most the first n instructions of a program; n ≤ 0
+// yields none.
 func Take(p Program, n int) []Instr {
+	if n <= 0 {
+		return nil
+	}
 	var out []Instr
-	p(func(ins Instr) bool {
+	for ins := range All(p) {
 		out = append(out, ins)
-		return len(out) < n
-	})
+		if len(out) == n {
+			break
+		}
+	}
 	return out
 }

@@ -192,12 +192,11 @@ func TestQuickBacktrackProperty(t *testing.T) {
 			t.Fatalf("trial %d: net displacement %v", trial, math.Hypot(dx, dy))
 		}
 		gotMove := 0.0
-		p(func(ins Instr) bool {
+		for ins := range All(p) {
 			if ins.Op == OpMove {
 				gotMove += ins.Amount
 			}
-			return true
-		})
+		}
 		if !approx(gotMove, 2*moveLen) {
 			t.Fatalf("trial %d: move length %v, want %v", trial, gotMove, 2*moveLen)
 		}
@@ -301,26 +300,58 @@ func TestTimeSliceZeroPause(t *testing.T) {
 	// simulator skips them).
 	p := TimeSlice(Instrs(Move(0, 1)), 0.25, 0)
 	moves := 0.0
-	p(func(ins Instr) bool {
+	for ins := range All(p) {
 		if ins.Op == OpMove {
 			moves += ins.Amount
 		}
-		return true
-	})
+	}
 	if !approx(moves, 1) {
 		t.Errorf("moves = %v", moves)
 	}
 }
 
 func TestTakeAndCollect(t *testing.T) {
-	p := Instrs(Move(0, 1), Move(0, 2), Move(0, 3))
-	if got := Take(p, 2); len(got) != 2 {
-		t.Fatalf("take = %+v", got)
+	list := []Instr{Move(0, 1), Move(0, 2), Move(0, 3)}
+	finite := Instrs(list...)
+	forever := Forever(func(i int) Program { return Instrs(Wait(float64(i))) })
+	for _, tc := range []struct {
+		name string
+		p    Program
+		n    int
+		want []Instr
+	}{
+		{"negative", finite, -1, nil},
+		{"zero", finite, 0, nil},
+		{"one", finite, 1, list[:1]},
+		{"two", finite, 2, list[:2]},
+		{"len", finite, len(list), list},
+		{"len+3", finite, len(list) + 3, list},
+		{"empty", Empty(), 2, nil},
+		{"forever", forever, 5, []Instr{Wait(1), Wait(2), Wait(3), Wait(4), Wait(5)}},
+	} {
+		if got := Take(tc.p, tc.n); !instrsEqual(got, tc.want) {
+			t.Errorf("%s: Take(%d) = %+v, want %+v", tc.name, tc.n, got, tc.want)
+		}
 	}
-	if got := Take(p, 99); len(got) != 3 {
-		t.Fatalf("take over = %+v", got)
+	if got := Collect(finite); !instrsEqual(got, list) {
+		t.Fatalf("collect = %+v", got)
 	}
 	if got := Collect(Empty()); len(got) != 0 {
 		t.Fatalf("empty = %+v", got)
+	}
+}
+
+// TestNewCursorAllocs pins the cost of opening a cursor at exactly the
+// cursor's own allocation: a Program is its cursor factory, so nothing
+// sits between the call and the cursor. The simulator opens one cursor
+// per agent per run, and generator-built programs one per round.
+func TestNewCursorAllocs(t *testing.T) {
+	p := Instrs(Wait(1))
+	allocs := testing.AllocsPerRun(100, func() {
+		c := NewCursor(p)
+		c.Close()
+	})
+	if allocs != 1 {
+		t.Fatalf("NewCursor(Instrs(…)) allocates %.1f objects; want exactly 1 (the cursor)", allocs)
 	}
 }

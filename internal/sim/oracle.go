@@ -51,7 +51,7 @@ func newSteppedAgent(spec AgentSpec) *steppedAgent {
 	s := &steppedAgent{times: []float64{spec.Attrs.Wake}, pts: []geom.Vec2{spec.Attrs.Origin, spec.Attrs.Origin}}
 	t := spec.Attrs.Wake
 	pos := spec.Attrs.Origin
-	spec.Prog(func(ins prog.Instr) bool {
+	for ins := range prog.All(spec.Prog) {
 		dur := durAbs(spec.Attrs, ins)
 		t += dur
 		if ins.Op == prog.OpMove {
@@ -59,8 +59,10 @@ func newSteppedAgent(spec AgentSpec) *steppedAgent {
 		}
 		s.times = append(s.times, t)
 		s.pts = append(s.pts, pos)
-		return len(s.times) < 1_000_000 // cap: oracle programs are finite
-	})
+		if len(s.times) >= 1_000_000 { // cap: oracle programs are finite
+			break
+		}
+	}
 	return s
 }
 

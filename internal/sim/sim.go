@@ -9,9 +9,9 @@
 // 2^60 time units therefore costs exactly one event, which is what makes
 // the paper's astronomically scheduled algorithms simulable at all.
 //
-// Instructions are pulled through the prog cursor engine: cursor-backed
-// programs (every prog combinator) are drained by direct calls, and only
-// opaque hand-written push closures fall back to an iter.Pull coroutine.
+// Instructions are pulled through the prog cursor engine: a program is
+// its own cursor factory, so every agent's instructions are drained by
+// direct Next calls on one cursor, on a single engine path.
 // Consecutive wait instructions are fused into a single segment (wait
 // coalescing), so a run of padding and scheduling waits costs one event
 // and one Segments unit instead of many; Settings.NoWaitCoalesce
@@ -245,7 +245,7 @@ const velCacheSize = 4
 // runner is the per-agent execution state.
 type runner struct {
 	attrs  phys.Attributes
-	cur    prog.Cursor // instruction source (cursor fast path or iter.Pull adapter)
+	cur    prog.Cursor // instruction source, opened from the agent's program
 	radius float64     // effective sight radius
 
 	// Move velocities: frame is attrs.Frame(), built on the first move;
@@ -280,7 +280,7 @@ type runner struct {
 func newRunner(spec AgentSpec, slack float64, traceCap int, maxTime dd.T, coalesce bool) *runner {
 	r := &runner{
 		attrs:    spec.Attrs,
-		cur:      prog.NewCursor(spec.Prog),
+		cur:      spec.Prog(),
 		radius:   spec.Radius*(1+slack) + 1e-12,
 		pos:      spec.Attrs.Origin,
 		segEnd:   dd.FromFloat(spec.Attrs.Wake),

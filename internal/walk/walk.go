@@ -51,11 +51,11 @@ func (c *linearCursor) Close() { c.j = c.i + 1 }
 //
 //	for j = 1..i:  go(E, 2^j); go(W, 2^(j+1)); go(E, 2^j)
 func Linear(i int) prog.Program {
-	return prog.CursorProgram(func() prog.Cursor {
+	return func() prog.Cursor {
 		c := &linearCursor{}
 		c.reset(i)
 		return c
-	})
+	}
 }
 
 // LinearDuration returns the local-time duration of Linear(i):
@@ -77,7 +77,7 @@ func LinearDuration(i int) float64 {
 // The walk passes within 2^{−(i+1)} of every point of the square and
 // returns to its start.
 func Planar(i int) prog.Program {
-	return prog.CursorProgram(func() prog.Cursor { return newPlanarCursor(i) })
+	return func() prog.Cursor { return newPlanarCursor(i) }
 }
 
 // NewPlanar returns PlanarCowWalk(i) as a bare single-use cursor — the

@@ -13,13 +13,12 @@ import (
 func polyline(p prog.Program) []geom.Vec2 {
 	pts := []geom.Vec2{{}}
 	cur := geom.Vec2{}
-	p(func(ins prog.Instr) bool {
+	for ins := range prog.All(p) {
 		if ins.Op == prog.OpMove {
 			cur = cur.Add(geom.Polar(ins.Theta).Scale(ins.Amount))
 			pts = append(pts, cur)
 		}
-		return true
-	})
+	}
 	return pts
 }
 

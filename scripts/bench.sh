@@ -2,7 +2,7 @@
 # Regenerate a kernel-benchmark JSON record: the paper-table artifacts
 # that dominate `rvtable -exp all` (T1, T3, T4), the simulator's segment
 # loop alone and with per-round program generation, the
-# instruction-stream engine (cursor vs iter.Pull), the batch pool, the
+# instruction-stream cursor engine, the batch pool, the
 # memoization
 # pre-pass, the distributed coordinator (local worker subprocesses;
 # synchronous vs windowed dispatch; per-call fleets vs a reused
