@@ -340,7 +340,12 @@ func BenchmarkDistT5Chunks(b *testing.B) {
 	want := measure.SweepParallel(n, eps, box, 5, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := dist.Sweep(n, eps, box, 5, 1, dist.Config{Procs: 2, Window: 2})
+		f, err := dist.Dial(dist.Config{Procs: 2, Window: 2})
+		if err != nil {
+			b.Fatalf("fleet dial failed: %v", err)
+		}
+		got, err := f.Sweep(n, eps, box, 5, 1)
+		f.Close()
 		if err != nil {
 			b.Fatalf("distributed sweep failed: %v", err)
 		}
@@ -509,7 +514,12 @@ func benchDistT5WAN(b *testing.B, compress bool) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := dist.Sweep(n, eps, box, 5, 1, dist.Config{Hosts: hosts, Compress: compress, Window: 2})
+		f, err := dist.Dial(dist.Config{Hosts: hosts, Compress: compress, Window: 2})
+		if err != nil {
+			b.Fatalf("fleet dial failed: %v", err)
+		}
+		got, err := f.Sweep(n, eps, box, 5, 1)
+		f.Close()
 		if err != nil {
 			b.Fatalf("WAN sweep failed: %v", err)
 		}

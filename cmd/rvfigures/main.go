@@ -66,7 +66,7 @@ func main() {
 	}
 	b := exps.DefaultBudgets()
 	b.Workers = *workers
-	b.Dist = dist.Config{
+	cfg := dist.Config{
 		Procs: *procs, Hosts: hostList,
 		Window: *window, MaxWindow: *maxWindow,
 		StallTimeout: *stall, MaxJobRequeues: *requeues,
@@ -74,9 +74,10 @@ func main() {
 	}
 
 	// One fleet session for all figures (see rvtable): dial once, share
-	// the connections, close at exit.
-	if b.Dist.Enabled() {
-		if f, derr := dist.Dial(b.Dist); derr != nil {
+	// the connections, close at exit; an unreachable fleet means one
+	// warning and an in-process run.
+	if cfg.Enabled() {
+		if f, derr := dist.Dial(cfg); derr != nil {
 			slog.Warn("rvfigures: fleet unavailable (running in-process)", "err", derr)
 		} else {
 			b.Fleet = f

@@ -73,7 +73,7 @@ func main() {
 	}
 	b := exps.DefaultBudgets()
 	b.Workers = *workers
-	b.Dist = dist.Config{
+	cfg := dist.Config{
 		Procs: *procs, Hosts: hostList,
 		Window: *window, MaxWindow: *maxWindow,
 		StallTimeout: *stall, MaxJobRequeues: *requeues,
@@ -100,10 +100,11 @@ func main() {
 	// One fleet session for the whole invocation: the tables share the
 	// dialed connections (one handshake per host for all of T1–T6)
 	// instead of assembling and tearing down a fleet per table. An
-	// unreachable fleet degrades to in-process execution, which
-	// determinism makes invisible in the tables.
-	if b.Dist.Enabled() {
-		if f, derr := dist.Dial(b.Dist); derr != nil {
+	// unreachable fleet degrades to in-process execution for the whole
+	// run (one warning, no re-dial per table), which determinism makes
+	// invisible in the tables.
+	if cfg.Enabled() {
+		if f, derr := dist.Dial(cfg); derr != nil {
 			slog.Warn("rvtable: fleet unavailable (running in-process)", "err", derr)
 		} else {
 			b.Fleet = f

@@ -118,7 +118,7 @@ func main() {
 			draining.Store(true)
 			atSignal.Store(dist.RepliesFlushed())
 			slog.Info("rvworker: signal received; draining")
-			// Unblock the pending stdin read; ServeWith's finish path
+			// Unblock the pending stdin read; Serve's finish path
 			// drains the executors and flushes before returning. Works
 			// on pipes and terminals on the platforms we serve from;
 			// where it doesn't, the fallback is the old behavior (the
@@ -126,7 +126,7 @@ func main() {
 			os.Stdin.SetReadDeadline(time.Now())
 		}()
 		opts.Name = "stdio"
-		err = dist.ServeWith(os.Stdin, os.Stdout, opts)
+		err = dist.Serve(os.Stdin, os.Stdout, opts)
 		if draining.Load() {
 			err = nil // the induced read-deadline error is the drain, not a fault
 			slog.Info("rvworker: drained", "jobs", dist.RepliesFlushed()-atSignal.Load())

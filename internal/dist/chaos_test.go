@@ -90,7 +90,7 @@ func TestChaosDifferential(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 
 	ins := drawInstances(3)
 	ins = append(ins, ins[0]) // a duplicate keeps memoization in the frame
@@ -116,7 +116,7 @@ func TestChaosDifferential(t *testing.T) {
 			}
 			defer p.Close()
 			var log bytes.Buffer
-			got, gotStats, err := Run(aurvJobs(t, ins, set), 1, Config{
+			got, gotStats, err := runOnce(aurvJobs(t, ins, set), 1, Config{
 				Hosts:        tcpHosts(p.Addr()),
 				Window:       2,
 				RedialWait:   2 * time.Millisecond,
@@ -150,7 +150,7 @@ func TestChaosMetricsExactCounts(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 
 	ins := drawInstances(2)
 	set := testSettings()
@@ -179,7 +179,7 @@ func TestChaosMetricsExactCounts(t *testing.T) {
 			pings0 := mPings.Value()
 
 			var log bytes.Buffer
-			got, _, err := Run(aurvJobs(t, ins, set), 1, Config{
+			got, _, err := runOnce(aurvJobs(t, ins, set), 1, Config{
 				Hosts:        tcpHosts(p.Addr()),
 				Window:       1, // exactly one job in flight when the fault strikes
 				RedialWait:   2 * time.Millisecond,
@@ -243,7 +243,7 @@ func TestChaosSoakSeeds(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 
 	ins := drawInstances(4)
 	ins = append(ins, ins[1]) // a duplicate keeps memoization in the frame
@@ -258,7 +258,7 @@ func TestChaosSoakSeeds(t *testing.T) {
 			}
 			defer p.Close()
 			var log bytes.Buffer
-			got, gotStats := RunOrFallback(aurvJobs(t, ins, set), 1, Config{
+			f, err := Dial(Config{
 				Hosts:        tcpHosts(p.Addr(), p.Addr()), // two connections through the rig
 				Window:       2,
 				RedialWait:   2 * time.Millisecond,
@@ -266,6 +266,11 @@ func TestChaosSoakSeeds(t *testing.T) {
 				MaxRespawns:  4,
 				Stderr:       &log,
 			})
+			if err != nil {
+				t.Fatalf("fleet dial failed: %v", err)
+			}
+			got, gotStats := f.RunOrFallback(aurvJobs(t, ins, set), 1)
+			f.Close()
 			if !bytes.Equal(encodeAll(got), encodeAll(want)) {
 				t.Fatalf("seed %d results differ from in-process serial\ncoordinator log:\n%s", seed, log.String())
 			}
@@ -314,14 +319,14 @@ func TestHungWorkerRequeued(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer sl.Close()
-	go ServeListener(sl)
+	go NewServer(ServeOptions{}).Serve(sl)
 
 	ins := drawInstances(3)
 	set := testSettings()
 	want, _ := batch.Run(aurvJobs(t, ins, set), 1)
 
 	var log bytes.Buffer
-	got, _, err := Run(aurvJobs(t, ins, set), 1, Config{
+	got, _, err := runOnce(aurvJobs(t, ins, set), 1, Config{
 		Hosts:        tcpHosts(hl.Addr().String(), sl.Addr().String()),
 		Window:       2,
 		StallTimeout: 250 * time.Millisecond,
@@ -355,7 +360,7 @@ func TestPingKeepsBusyWorkerAlive(t *testing.T) {
 
 	pongs0 := mPongs.Value()
 	var log bytes.Buffer
-	got, _, err := Run(algJobs(t, algSlow, ins, set), 1, Config{
+	got, _, err := runOnce(algJobs(t, algSlow, ins, set), 1, Config{
 		Procs:        1,
 		StallTimeout: 100 * time.Millisecond, // a quarter of the job's runtime
 		Stderr:       &log,
@@ -387,14 +392,16 @@ func TestPoisonJobPanicReported(t *testing.T) {
 	jobs := append(aurvJobs(t, ins, set), algJobs(t, algPanic, drawInstances(1)[:1], set)...)
 
 	var log bytes.Buffer
-	st, err := RunStream(jobs, 1, Config{Procs: 2, Stderr: &log})
+	f, err := Dial(Config{Procs: 2, Stderr: &log})
 	if err != nil {
 		t.Fatalf("stream start failed: %v", err)
 	}
+	st := f.RunStream(jobs, 1)
 	var got []sim.Result
 	for r := range st.Results() {
 		got = append(got, r)
 	}
+	f.Close()
 	if err := st.Err(); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("poison panic not reported as a per-job failure: %v", err)
 	}
@@ -423,7 +430,7 @@ func TestPoisonJobQuarantined(t *testing.T) {
 	requeued0 := mRequeued.Total()
 	quarantined0 := mQuarantined.Value()
 	var log bytes.Buffer
-	st, err := RunStream(jobs, 1, Config{
+	f, err := Dial(Config{
 		Procs: 2,
 		// Window 1 keeps innocent jobs out of the blast radius: only the
 		// poison job is in flight on the worker it kills, so the distinct-
@@ -436,10 +443,12 @@ func TestPoisonJobQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream start failed: %v", err)
 	}
+	st := f.RunStream(jobs, 1)
 	var got []sim.Result
 	for r := range st.Results() {
 		got = append(got, r)
 	}
+	f.Close()
 	if err := st.Err(); err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("worker-killing job was not quarantined: %v\ncoordinator log:\n%s", err, log.String())
 	}
@@ -562,7 +571,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				Serve(conn, conn)
+				Serve(conn, conn, ServeOptions{})
 			}()
 		}
 	}()
@@ -624,7 +633,7 @@ func TestHelloTimeoutConfigurable(t *testing.T) {
 
 	ins := drawInstances(1)[:1]
 	start := time.Now()
-	_, _, err = Run(aurvJobs(t, ins, testSettings()), 1, Config{
+	_, _, err = runOnce(aurvJobs(t, ins, testSettings()), 1, Config{
 		Hosts:        tcpHosts(l.Addr().String()),
 		HelloTimeout: 150 * time.Millisecond,
 	})
@@ -653,7 +662,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	ins := drawInstances(2)
 	set := testSettings()
 	want, _ := batch.Run(aurvJobs(t, ins, set), 1)
-	got, _, err := Run(aurvJobs(t, ins, set), 1, Config{Hosts: tcpHosts(l.Addr().String())})
+	got, _, err := runOnce(aurvJobs(t, ins, set), 1, Config{Hosts: tcpHosts(l.Addr().String())})
 	if err != nil {
 		t.Fatalf("run against the graceful server failed: %v", err)
 	}

@@ -5,11 +5,12 @@ package dist
 import (
 	"errors"
 	"regexp"
-	"runtime"
 	"strconv"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // TestFleetCloseRightAfterDial: closing a stdio fleet before any
@@ -19,7 +20,7 @@ import (
 // dumped otherwise) and every worker subprocess has been reaped, not
 // left running or as a zombie.
 func TestFleetCloseRightAfterDial(t *testing.T) {
-	base := runtime.NumGoroutine()
+	checkGoroutines := leakcheck.Goroutines(t)
 	f, err := Dial(Config{Procs: 2})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -42,15 +43,8 @@ func TestFleetCloseRightAfterDial(t *testing.T) {
 		t.Fatalf("found worker pids %v in the slot names, want 2", pids)
 	}
 
+	checkGoroutines()
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		t.Errorf("%d goroutines after Close, baseline %d; stacks:\n%s", n, base, buf)
-	}
 	for _, pid := range pids {
 		for {
 			err := syscall.Kill(pid, 0)

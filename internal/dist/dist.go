@@ -21,9 +21,10 @@
 //     changes wall-clock time and nothing else.
 //
 // The fleet is a session (Fleet, fleet.go): dial once, run any number
-// of batches and sweeps over the open connections, close once. The
-// package-level Run/RunStream/Sweep helpers remain as one-shot
-// wrappers that dial an ephemeral session around a single call.
+// of batches and sweeps over the open connections, close once. A nil
+// *Fleet is the in-process case, so a caller holds one handle whether
+// or not it dialed; a one-shot caller dials, runs, and closes around
+// its single call.
 //
 // Jobs without a wire form (programs wired to observers, closure-built
 // per-instance algorithms) cannot cross a process boundary; the
@@ -49,8 +50,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Handshake defaults, overridable per Config (chaos tests and slow
-// WANs should not have to fight hard-coded constants).
+// Handshake timeouts. The hello wait is overridable per Config (chaos
+// tests and slow WANs should not have to fight a hard-coded constant).
 const (
 	// DefaultHelloTimeout bounds how long the coordinator waits for a
 	// freshly spawned or dialed worker to identify itself; a peer that
@@ -135,9 +136,6 @@ type Config struct {
 	// HelloTimeout bounds the wait for a worker's hello frame after
 	// dial/spawn. 0 selects DefaultHelloTimeout.
 	HelloTimeout time.Duration
-	// DialTimeout bounds each TCP connection attempt to a fleet host.
-	// 0 selects DefaultDialTimeout.
-	DialTimeout time.Duration
 	// BreakerThreshold is the number of consecutive connection failures
 	// (dead drives, failed redials) that open a slot's circuit breaker:
 	// the slot sits out until a cooldown elapses, then a single probe
@@ -522,7 +520,7 @@ func negotiateCompress(wc *workerConn, cfg Config, caps uint32) error {
 // (and hence a requeue) instead of wedging the batch on a read that
 // never returns.
 func dialWorker(h Host, cfg Config) (*workerConn, error) {
-	conn, err := net.DialTimeout("tcp", h.Addr, cfg.dialTimeout())
+	conn, err := net.DialTimeout("tcp", h.Addr, DefaultDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("dist: dialing %s: %w", h.Addr, err)
 	}

@@ -74,6 +74,17 @@ func tcpHosts(addrs ...string) []Host {
 	return hosts
 }
 
+// runOnce is the one-shot shape most differential tests drive: dial a
+// session for one batch, run it, close the session.
+func runOnce(jobs []batch.Job, localWorkers int, cfg Config) ([]sim.Result, batch.Stats, error) {
+	f, err := Dial(cfg)
+	if err != nil {
+		return nil, batch.Stats{}, err
+	}
+	defer f.Close()
+	return f.Run(jobs, localWorkers)
+}
+
 func encodeAll(res []sim.Result) []byte {
 	var b bytes.Buffer
 	for _, r := range res {
@@ -91,7 +102,7 @@ func TestCoordinatorTwoWorkers(t *testing.T) {
 	set := testSettings()
 
 	want, wantStats := batch.Run(aurvJobs(t, ins, set), 1)
-	got, gotStats, err := Run(aurvJobs(t, ins, set), 1, Config{Procs: 2})
+	got, gotStats, err := runOnce(aurvJobs(t, ins, set), 1, Config{Procs: 2})
 	if err != nil {
 		t.Fatalf("distributed run failed: %v", err)
 	}
@@ -115,12 +126,12 @@ func TestTCPTransport(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer l.Close()
-	go ServeListener(l)
+	go NewServer(ServeOptions{}).Serve(l)
 
 	ins := drawInstances(2)
 	set := testSettings()
 	want, _ := batch.Run(aurvJobs(t, ins, set), 1)
-	got, _, err := Run(aurvJobs(t, ins, set), 1, Config{Hosts: tcpHosts(l.Addr().String())})
+	got, _, err := runOnce(aurvJobs(t, ins, set), 1, Config{Hosts: tcpHosts(l.Addr().String())})
 	if err != nil {
 		t.Fatalf("TCP run failed: %v", err)
 	}
@@ -152,10 +163,12 @@ func TestRunStreamDeliversBeforeCompletion(t *testing.T) {
 	jobs := aurvJobs(t, ins, testSettings())
 	jobs = append(jobs, gatedJob(gate))
 
-	st, err := RunStream(jobs, 1, Config{Procs: 1})
+	f, err := Dial(Config{Procs: 1})
 	if err != nil {
 		t.Fatalf("stream start failed: %v", err)
 	}
+	defer f.Close()
+	st := f.RunStream(jobs, 1)
 	select {
 	case r, ok := <-st.Results():
 		if !ok {
@@ -216,7 +229,7 @@ func TestWorkerDeathRequeues(t *testing.T) {
 	ins := drawInstances(3)
 	set := testSettings()
 	want, _ := batch.Run(aurvJobs(t, ins, set), 1)
-	got, _, err := Run(aurvJobs(t, ins, set), 1,
+	got, _, err := runOnce(aurvJobs(t, ins, set), 1,
 		Config{Hosts: tcpHosts(l.Addr().String()), Procs: 1})
 	if err != nil {
 		t.Fatalf("run with one dying worker failed: %v", err)
@@ -240,7 +253,7 @@ func TestAllWorkersDead(t *testing.T) {
 	go flakyWorker(t, l)
 
 	ins := drawInstances(2)
-	_, _, err = Run(aurvJobs(t, ins, testSettings()), 1,
+	_, _, err = runOnce(aurvJobs(t, ins, testSettings()), 1,
 		Config{Hosts: tcpHosts(l.Addr().String()), MaxRespawns: -1})
 	if err == nil {
 		t.Fatal("run with only a dying worker reported success")
@@ -262,7 +275,7 @@ func TestUnregisteredAlgorithmErrors(t *testing.T) {
 		Settings: set,
 		Wire:     &bogus,
 	})
-	_, _, err := Run(jobs, 1, Config{Procs: 1})
+	_, _, err := runOnce(jobs, 1, Config{Procs: 1})
 	if err == nil {
 		t.Fatal("unregistered algorithm did not surface as an error")
 	}
@@ -271,21 +284,26 @@ func TestUnregisteredAlgorithmErrors(t *testing.T) {
 // TestNoWorkersStartable: an unspawnable command with no hosts is a
 // startup error (the caller's cue to fall back in-process).
 func TestNoWorkersStartable(t *testing.T) {
-	ins := drawInstances(1)[:1]
-	_, _, err := Run(aurvJobs(t, ins, testSettings()), 1,
-		Config{Procs: 1, Cmd: []string{"/nonexistent/worker-binary"}})
+	_, err := Dial(Config{Procs: 1, Cmd: []string{"/nonexistent/worker-binary"}})
 	if err == nil {
 		t.Fatal("unspawnable worker command did not error")
 	}
 }
 
 // TestLocalOnlyJobsNeedNoFleet: a batch with no wire-formed jobs never
-// contacts the fleet, even when one is configured.
+// contacts the fleet, even when one is attached — here a closed fleet,
+// which refuses every dispatch. (The one-shot batch entry points go
+// further and skip the dial; see rendezvous.)
 func TestLocalOnlyJobsNeedNoFleet(t *testing.T) {
 	gate := make(chan struct{})
 	close(gate)
 	jobs := []batch.Job{gatedJob(gate), gatedJob(gate)}
-	res, st, err := Run(jobs, 2, Config{Procs: 1, Cmd: []string{"/nonexistent/worker-binary"}})
+	f, err := Dial(Config{Procs: 1})
+	if err != nil {
+		t.Fatalf("fleet dial failed: %v", err)
+	}
+	f.Close()
+	res, st, err := f.Run(jobs, 2)
 	if err != nil {
 		t.Fatalf("local-only batch failed: %v", err)
 	}

@@ -181,13 +181,6 @@ func (c Config) helloTimeout() time.Duration {
 	return DefaultHelloTimeout
 }
 
-func (c Config) dialTimeout() time.Duration {
-	if c.DialTimeout > 0 {
-		return c.DialTimeout
-	}
-	return DefaultDialTimeout
-}
-
 // adaptiveWindow sizes one connection's in-flight window. A fixed
 // window (Config.Window > 0, or adaptation disabled) never moves; an
 // adaptive one steps the window one unit per observation toward
@@ -378,7 +371,7 @@ type slot struct {
 	wc       *workerConn
 	attempts int
 	retired  bool
-	draining bool // Retire requested: finish in-flight bookkeeping, then retire
+	draining bool         // Retire requested: finish in-flight bookkeeping, then retire
 	met      *slotMetrics // per-slot flight-recorder children, resolved at assembly
 
 	// Connection-scoped scheduling state, guarded by the fleet mutex.

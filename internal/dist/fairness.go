@@ -16,11 +16,10 @@ package dist
 // eligible to serve appear (queued work remains and the per-connection
 // clamp is not filled).
 type DispatchView struct {
-	ID      uint32  // dispatch id (joins the wire sequence space)
-	Arrival uint64  // fleet-wide admission order; lower is older
-	Queued  int     // tasks waiting in this dispatch's ready queue
-	Total   int     // tasks the dispatch was admitted with
-	Weight  float64 // relative share hint (1 when unset)
+	ID      uint32 // dispatch id (joins the wire sequence space)
+	Arrival uint64 // fleet-wide admission order; lower is older
+	Queued  int    // tasks waiting in this dispatch's ready queue
+	Total   int    // tasks the dispatch was admitted with
 }
 
 // Fairness picks which eligible dispatch an idle connection claims
@@ -42,45 +41,3 @@ type FIFO struct{}
 
 // Pick returns 0: views arrive in admission order.
 func (FIFO) Pick(views []DispatchView) int { return 0 }
-
-// DeepestQueue steals for throughput: an idle connection claims from
-// whichever dispatch has the most work waiting, which keeps every
-// queue draining at a rate proportional to its depth and minimizes
-// the makespan of the slowest tenant. Ties go to the older dispatch.
-type DeepestQueue struct{}
-
-// Pick returns the view with the largest Queued, oldest first on ties.
-func (DeepestQueue) Pick(views []DispatchView) int {
-	best := 0
-	for i, v := range views {
-		if v.Queued > views[best].Queued ||
-			(v.Queued == views[best].Queued && v.Arrival < views[best].Arrival) {
-			best = i
-		}
-	}
-	return best
-}
-
-// Weighted serves the dispatch with the largest weighted remaining
-// fraction Queued/Total·Weight, so tenants drain proportionally: a
-// dispatch that has consumed less of its share (or carries a larger
-// weight) claims the next window slot. With all weights equal it is
-// proportional fair sharing. Ties go to the older dispatch.
-type Weighted struct{}
-
-// Pick returns the view with the largest Queued/Total·Weight.
-func (Weighted) Pick(views []DispatchView) int {
-	best, bestScore := 0, -1.0
-	for i, v := range views {
-		w := v.Weight
-		if w <= 0 {
-			w = 1
-		}
-		score := float64(v.Queued) / float64(v.Total) * w
-		if score > bestScore ||
-			(score == bestScore && v.Arrival < views[best].Arrival) {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}

@@ -32,11 +32,16 @@ import (
 // with the window the earlier batches learned. Slots can join and
 // drain mid-session: AddHost and Retire (membership.go).
 //
-// Every determinism property of the one-shot path carries over
-// verbatim: session reuse, tenant interleaving, work stealing, and
-// fairness are all pure scheduling, so any mix of concurrent batches
-// and sweeps over any fleet produces per-call byte-identical results
-// to the same calls run in-process serially.
+// Session reuse, tenant interleaving, work stealing, and fairness are
+// all pure scheduling, so any mix of concurrent batches and sweeps
+// over any fleet produces per-call byte-identical results to the same
+// calls run in-process serially.
+//
+// A nil *Fleet is the in-process case: its RunOrFallback,
+// StreamOrFallback and SweepOrFallback run on the local pool, and its
+// Close is a no-op. Callers that may or may not have dialed a fleet
+// hold one handle and never branch. A one-shot caller (one batch, no
+// session) dials, runs, and closes around the single call.
 type Fleet struct {
 	cfg Config
 
@@ -69,13 +74,16 @@ type Fleet struct {
 // Dial assembles the worker fleet the config names and returns the
 // open session. Individual workers that cannot be reached are reported
 // on the config's stderr and skipped; Dial fails only when no worker
-// at all came up (or the config names none).
+// at all came up (or the config names none). A fleet that came up
+// empty counts one fallback (rv_dist_fallbacks_total), since callers
+// degrade to in-process execution on that error.
 func Dial(cfg Config) (*Fleet, error) {
 	if !cfg.Enabled() {
 		return nil, errors.New("dist: config names no workers")
 	}
 	slots, errs := assemble(cfg)
 	if len(slots) == 0 {
+		mFallbacks.Inc()
 		return nil, fmt.Errorf("dist: no worker reachable: %w", errors.Join(errs...))
 	}
 	lg := logOf(cfg)
@@ -124,8 +132,11 @@ func (f *Fleet) Size() int {
 // workers exit on the EOF, TCP workers see the stream end), every
 // still-live dispatch is finalized with an error, and later
 // dispatches fail. Close blocks until every slot runner has exited.
-// Closing an already-closed fleet is a no-op.
+// Closing an already-closed or a nil fleet is a no-op.
 func (f *Fleet) Close() error {
+	if f == nil {
+		return nil
+	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -158,109 +169,8 @@ func (f *Fleet) Close() error {
 // back to in-process execution, which purity guarantees produces the
 // same output.
 func (f *Fleet) Run(jobs []batch.Job, localWorkers int) ([]sim.Result, batch.Stats, error) {
-	return collect(f.RunStream(jobs, localWorkers))
-}
-
-// RunStream is Run with ordered streaming delivery: the returned
-// Stream releases results in input order as the completed prefix
-// grows. Failures surface through Stream.Err after the channel closes,
-// with the delivered prefix still byte-exact.
-func (f *Fleet) RunStream(jobs []batch.Job, localWorkers int) (*batch.Stream, error) {
-	return streamJobs(f, jobs, localWorkers, false)
-}
-
-// RunOrFallback is Run with the standard degradation policy: when the
-// distributed run fails (every worker retired, a job failed on a
-// worker), the batch completes in-process instead — byte-identical by
-// the determinism guarantee — after a warning on the config's stderr.
-// A mid-run failure keeps the delivered ordered prefix and recomputes
-// only the rest, so a single bad slot does not cost the whole batch
-// twice.
-func (f *Fleet) RunOrFallback(jobs []batch.Job, localWorkers int) ([]sim.Result, batch.Stats) {
-	return runOrFallback(jobs, localWorkers, f.cfg, func() (*batch.Stream, error) {
-		return f.RunStream(jobs, localWorkers)
-	})
-}
-
-// StreamOrFallback is RunStream with the same degradation policy,
-// flattened to a plain ordered channel: every result is delivered in
-// input order exactly once — distributed while the fleet holds,
-// spliced with an in-process run of the undelivered suffix if it fails
-// (determinism makes the splice exact).
-func (f *Fleet) StreamOrFallback(jobs []batch.Job, localWorkers int) <-chan sim.Result {
-	return streamOrFallback(jobs, localWorkers, true, f.cfg, func() (*batch.Stream, error) {
-		return f.RunStream(jobs, localWorkers)
-	})
-}
-
-// ---- one-shot wrappers (ephemeral session per call) ----
-
-// RunOrFallback is Fleet.RunOrFallback over an ephemeral session: when
-// the config names no fleet, or no worker can be reached, the batch
-// completes in-process — byte-identical — after a warning on the
-// config's stderr.
-func RunOrFallback(jobs []batch.Job, localWorkers int, cfg Config) ([]sim.Result, batch.Stats) {
-	if !cfg.Enabled() {
-		return batch.Run(jobs, localWorkers)
-	}
-	return runOrFallback(jobs, localWorkers, cfg, func() (*batch.Stream, error) {
-		return RunStream(jobs, localWorkers, cfg)
-	})
-}
-
-// StreamOrFallback is Fleet.StreamOrFallback over an ephemeral
-// session (no fleet configured, unreachable, or lost mid-run all
-// degrade to in-process execution, splice-exact).
-func StreamOrFallback(jobs []batch.Job, localWorkers int, cfg Config) <-chan sim.Result {
-	return streamOrFallback(jobs, localWorkers, cfg.Enabled(), cfg, func() (*batch.Stream, error) {
-		return RunStream(jobs, localWorkers, cfg)
-	})
-}
-
-// Run executes the jobs over an ephemeral session (dial, run, close)
-// and returns results in input order plus aggregate accounting.
-func Run(jobs []batch.Job, localWorkers int, cfg Config) ([]sim.Result, batch.Stats, error) {
-	return collect(RunStream(jobs, localWorkers, cfg))
-}
-
-// RunStream runs the jobs over an ephemeral session with ordered
-// streaming delivery; the session is torn down when the stream
-// completes. A non-nil error means the run could not start (no worker
-// reachable) and nothing was delivered.
-func RunStream(jobs []batch.Job, localWorkers int, cfg Config) (*batch.Stream, error) {
-	// Cap the fleet at the wire-formed unique-job count: a fleet larger
-	// than the batch guarantees workers that never claim a job yet
-	// still pay spawn and handshake cost. (A persistent Fleet is dialed
-	// at full strength instead — its later batches may need the width.)
-	_, uniq := batch.Dedup(len(jobs), func(i int) any { return jobs[i].Key })
-	remote := 0
-	for _, i := range uniq {
-		if jobs[i].Wire != nil {
-			remote++
-		}
-	}
-	var f *Fleet
-	if remote > 0 {
-		if cfg.Procs > remote {
-			cfg.Procs = remote
-		}
-		if len(cfg.Hosts) > remote {
-			cfg.Hosts = cfg.Hosts[:remote]
-		}
-		var err error
-		if f, err = Dial(cfg); err != nil {
-			return nil, err
-		}
-	}
-	return streamJobs(f, jobs, localWorkers, true)
-}
-
-// collect drains a stream into the slice API shape.
-func collect(st *batch.Stream, err error) ([]sim.Result, batch.Stats, error) {
-	if err != nil {
-		return nil, batch.Stats{}, err
-	}
-	results := make([]sim.Result, 0, 16)
+	st := f.RunStream(jobs, localWorkers)
+	results := make([]sim.Result, 0, len(jobs))
 	for r := range st.Results() {
 		results = append(results, r)
 	}
@@ -270,31 +180,61 @@ func collect(st *batch.Stream, err error) ([]sim.Result, batch.Stats, error) {
 	return results, st.Stats(), nil
 }
 
-// runOrFallback implements the slice-shaped degradation policy over
-// any stream starter (session-backed or ephemeral). Degradations are
-// counted (rv_dist_fallbacks_total) and logged as structured events
-// carrying the wrapped error and the fleet recipe, so silent
-// in-process completion — invisible in the output bytes by design —
-// is visible to an operator.
-func runOrFallback(jobs []batch.Job, localWorkers int, cfg Config, start func() (*batch.Stream, error)) ([]sim.Result, batch.Stats) {
-	st, err := start()
-	if err != nil {
-		mFallbacks.Inc()
-		logOf(cfg).Warn("dist: distributed batch failed; falling back to in-process",
-			"err", err, "hosts", hostSummary(cfg))
+// RunStream is Run with ordered streaming delivery: the returned
+// Stream releases results in input order as the completed prefix
+// grows. Failures surface through Stream.Err after the channel closes,
+// with the delivered prefix still byte-exact.
+func (f *Fleet) RunStream(jobs []batch.Job, localWorkers int) *batch.Stream {
+	canon, uniq := batch.Dedup(len(jobs), func(i int) any { return jobs[i].Key })
+
+	// Partition the executing set: wire-formed jobs can ship to worker
+	// processes, the rest run here. The partition is pure bookkeeping —
+	// results land by input index either way.
+	var remote, local []int
+	for _, i := range uniq {
+		if jobs[i].Wire != nil {
+			remote = append(remote, i)
+		} else {
+			local = append(local, i)
+		}
+	}
+
+	s, p := batch.NewStream(len(jobs))
+	go func() {
+		workers, distErr := f.run(jobs, canon, remote, local, localWorkers, p)
+		p.Close(len(uniq), workers, distErr)
+	}()
+	return s
+}
+
+// RunOrFallback is Run with the standard degradation policy: when the
+// distributed run fails (every worker retired, a job failed on a
+// worker), the batch completes in-process instead — byte-identical by
+// the determinism guarantee — after a warning on the config's stderr.
+// A mid-run failure keeps the delivered ordered prefix and recomputes
+// only the rest, so a single bad slot does not cost the whole batch
+// twice. A nil fleet runs the whole batch in-process (batch.Run).
+//
+// Degradations are counted (rv_dist_fallbacks_total) and logged as
+// structured events carrying the wrapped error and the fleet recipe,
+// so silent in-process completion — invisible in the output bytes by
+// design — is visible to an operator.
+func (f *Fleet) RunOrFallback(jobs []batch.Job, localWorkers int) ([]sim.Result, batch.Stats) {
+	if f == nil {
 		return batch.Run(jobs, localWorkers)
 	}
+	st := f.RunStream(jobs, localWorkers)
 	results := make([]sim.Result, 0, len(jobs))
 	for r := range st.Results() {
 		results = append(results, r)
 	}
-	if err := st.Err(); err == nil {
+	err := st.Err()
+	if err == nil {
 		return results, st.Stats()
-	} else {
-		mFallbacks.Inc()
-		logOf(cfg).Warn("dist: distributed batch failed; finishing in-process",
-			"err", err, "delivered", len(results), "hosts", hostSummary(cfg))
 	}
+	mFallbacks.Inc()
+	logOf(f.cfg).Warn("dist: distributed batch failed; finishing in-process",
+		"err", err, "delivered", len(results), "hosts", hostSummary(f.cfg))
 	suffix, _ := batch.Run(jobs[len(results):], localWorkers)
 	results = append(results, suffix...)
 	// Accounting on the splice path: report the canonical execution set
@@ -304,28 +244,30 @@ func runOrFallback(jobs []batch.Job, localWorkers int, cfg Config, start func() 
 	return results, batch.FoldStats(results, len(uniq), pool.Workers(localWorkers, len(jobs)))
 }
 
-// streamOrFallback implements the channel-shaped degradation policy
-// over any stream starter. enabled=false skips the distributed attempt
-// entirely (the ephemeral path with no configured fleet).
-func streamOrFallback(jobs []batch.Job, localWorkers int, enabled bool, cfg Config, start func() (*batch.Stream, error)) <-chan sim.Result {
+// StreamOrFallback is RunStream with the same degradation policy,
+// flattened to a plain ordered channel buffered to len(jobs): every
+// result is delivered in input order exactly once — distributed while
+// the fleet holds, spliced with an in-process run of the undelivered
+// suffix if it fails (determinism makes the splice exact). A nil fleet
+// streams the whole batch in-process.
+func (f *Fleet) StreamOrFallback(jobs []batch.Job, localWorkers int) <-chan sim.Result {
 	out := make(chan sim.Result, len(jobs))
 	go func() {
 		defer close(out)
 		delivered := 0
-		if enabled {
-			st, err := start()
+		if f != nil {
+			st := f.RunStream(jobs, localWorkers)
+			for r := range st.Results() {
+				out <- r
+				delivered++
+			}
+			err := st.Err()
 			if err == nil {
-				for r := range st.Results() {
-					out <- r
-					delivered++
-				}
-				if err = st.Err(); err == nil {
-					return
-				}
+				return
 			}
 			mFallbacks.Inc()
-			logOf(cfg).Warn("dist: distributed batch failed; finishing in-process",
-				"err", err, "delivered", delivered, "hosts", hostSummary(cfg))
+			logOf(f.cfg).Warn("dist: distributed batch failed; finishing in-process",
+				"err", err, "delivered", delivered, "hosts", hostSummary(f.cfg))
 		}
 		for r := range batch.RunStream(jobs[delivered:], localWorkers).Results() {
 			out <- r
@@ -334,53 +276,13 @@ func streamOrFallback(jobs []batch.Job, localWorkers int, enabled bool, cfg Conf
 	return out
 }
 
-// streamJobs is the shared core of every batch entry point: partition
-// the executing set, start the ordered stream, and run the coordinator
-// over the given session (nil when the batch has no wire-formed jobs —
-// then everything runs in-process). closeFleet tears the session down
-// once the stream settles (the ephemeral wrappers).
-func streamJobs(f *Fleet, jobs []batch.Job, localWorkers int, closeFleet bool) (*batch.Stream, error) {
-	canon, uniq := batch.Dedup(len(jobs), func(i int) any { return jobs[i].Key })
-
-	// Partition the executing set: wire-formed jobs can ship to worker
-	// processes, the rest run here. The partition is pure bookkeeping —
-	// results land by input index either way.
-	var remote, local []int
-	for _, i := range uniq {
-		if jobs[i].Wire != nil {
-			if f != nil {
-				remote = append(remote, i)
-			} else {
-				local = append(local, i)
-			}
-		} else {
-			local = append(local, i)
-		}
-	}
-
-	s, p := batch.NewStream(len(jobs))
-	go func() {
-		workers, distErr := run(f, jobs, canon, uniq, remote, local, localWorkers, p)
-		if closeFleet && f != nil {
-			// Tear the ephemeral session down BEFORE the stream settles:
-			// Close joins every slot runner, so by the time the caller
-			// sees the verdict no goroutine of this run still touches
-			// the config's stderr (or anything else).
-			f.Close()
-		}
-		p.Close(len(uniq), workers, distErr)
-	}()
-	return s, nil
-}
-
 // run is the coordinator engine: the multi-tenant scheduler
 // (sched.go) pipelines remote jobs over the session's fleet, an
 // in-process pool runs the local jobs concurrently, and every
 // completion releases the job's result (and its memoized duplicates)
 // into the stream. It returns the worker count and distributed
-// verdict for the caller's Producer.Close — the caller settles the
-// stream itself, after any session teardown it owes.
-func run(f *Fleet, jobs []batch.Job, canon, uniq, remote, local []int, localWorkers int, p *batch.Producer) (workers int, distErr error) {
+// verdict for the caller's Producer.Close.
+func (f *Fleet) run(jobs []batch.Job, canon, remote, local []int, localWorkers int, p *batch.Producer) (workers int, distErr error) {
 	dups := batch.DupsOf(canon)
 	deliver := func(i int, r sim.Result) {
 		p.Put(i, r)

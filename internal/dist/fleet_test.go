@@ -32,7 +32,7 @@ func countingWorker(t *testing.T) (addr string, conns *atomic.Int64) {
 			conns.Add(1)
 			go func() {
 				defer conn.Close()
-				Serve(conn, conn)
+				Serve(conn, conn, ServeOptions{})
 			}()
 		}
 	}()
@@ -91,7 +91,7 @@ func TestFleetSingleHandshake(t *testing.T) {
 	// The per-call path dials an ephemeral session per batch: N calls,
 	// N handshakes — the cost the session exists to amortize.
 	for k := 0; k < batches; k++ {
-		got, _, err := Run(aurvJobs(t, ins, set), 1, cfg)
+		got, _, err := runOnce(aurvJobs(t, ins, set), 1, cfg)
 		if err != nil {
 			t.Fatalf("per-call batch %d failed: %v", k, err)
 		}
@@ -174,7 +174,7 @@ func TestFleetHeterogeneousPools(t *testing.T) {
 	set.Parallelism = 2 // forwarded — the per-host hints override it
 
 	want, wantStats := batch.Run(aurvJobs(t, ins, set), 1)
-	got, gotStats, err := Run(aurvJobs(t, ins, set), 1, Config{
+	got, gotStats, err := runOnce(aurvJobs(t, ins, set), 1, Config{
 		Hosts: []Host{{Addr: a1, Pool: 1}, {Addr: a2, Pool: 3}},
 	})
 	if err != nil {

@@ -45,7 +45,7 @@ func TestWindowHidesLatency(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 
 	const delay = 25 * time.Millisecond
 	addr := latencyProxy(t, wl.Addr().String(), delay)
@@ -58,7 +58,7 @@ func TestWindowHidesLatency(t *testing.T) {
 		cfg.Hosts = tcpHosts(addr)
 		cfg.MaxRespawns = -1
 		start := time.Now()
-		got, _, err := Run(aurvJobs(t, ins, set), 1, cfg)
+		got, _, err := runOnce(aurvJobs(t, ins, set), 1, cfg)
 		if err != nil {
 			t.Fatalf("%s run failed: %v", label, err)
 		}

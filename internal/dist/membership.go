@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 )
 
@@ -103,10 +104,12 @@ func (f *Fleet) Retire(addr string) error {
 // failures after the initial load — an unreadable file, a malformed
 // entry, an unreachable new host — are logged and retried next tick,
 // never fatal: a long-running session must survive a fat-fingered
-// edit. The returned stop function ends the watch (idempotent); Close
-// does not stop it, so call stop before Close.
+// edit. The returned stop function ends the watch and waits for the
+// poller to exit; it is idempotent and safe to call from several
+// goroutines at once. Close does not stop it, so call stop before
+// Close.
 func (f *Fleet) WatchHosts(path string, interval time.Duration) (stop func(), err error) {
-	hosts, err := loadHostsFile(path)
+	hosts, err := LoadHostsFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +133,7 @@ func (f *Fleet) WatchHosts(path string, interval time.Duration) (stop func(), er
 			case <-stopC:
 				return
 			case <-tick.C:
-				hosts, err := loadHostsFile(path)
+				hosts, err := LoadHostsFile(path)
 				if err != nil {
 					lg.Warn("dist: hosts file unreadable; keeping current fleet", "path", path, "err", err)
 					continue
@@ -141,14 +144,10 @@ func (f *Fleet) WatchHosts(path string, interval time.Duration) (stop func(), er
 			}
 		}
 	}()
-	var stopped bool
-	return func() {
-		if !stopped {
-			stopped = true
-			close(stopC)
-			<-done
-		}
-	}, nil
+	return sync.OnceFunc(func() {
+		close(stopC)
+		<-done
+	}), nil
 }
 
 // LoadHostsFile reads and parses one hosts file: the -hosts flag
@@ -156,11 +155,7 @@ func (f *Fleet) WatchHosts(path string, interval time.Duration) (stop func(), er
 // comment line. It is the parse WatchHosts applies on every poll,
 // exported so CLIs can seed a fleet from the same file they then
 // watch.
-func LoadHostsFile(path string) ([]Host, error) { return loadHostsFile(path) }
-
-// loadHostsFile reads and parses one hosts file (ParseHosts syntax;
-// newlines are treated as separators, '#' starts a comment line).
-func loadHostsFile(path string) ([]Host, error) {
+func LoadHostsFile(path string) ([]Host, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

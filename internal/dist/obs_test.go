@@ -28,7 +28,7 @@ func TestMetricsOnOffDifferential(t *testing.T) {
 
 	run := func(on bool) ([]byte, int) {
 		obs.SetEnabled(on)
-		res, st, err := Run(aurvJobs(t, ins, set), 1, Config{Procs: 2, Window: 2})
+		res, st, err := runOnce(aurvJobs(t, ins, set), 1, Config{Procs: 2, Window: 2})
 		if err != nil {
 			t.Fatalf("distributed run (metrics=%v): %v", on, err)
 		}

@@ -37,10 +37,9 @@ import (
 // half). Deliver continuations run outside the mutex: a slow consumer
 // stalls its own connection, never the scheduler.
 type dispatch struct {
-	id      uint32 // joins the wire sequence space: seq = id<<32 | k
-	arrival uint64 // fleet-wide admission order, drives FIFO fairness
-	weight  float64
-	tasks   []task
+	id                 uint32 // joins the wire sequence space: seq = id<<32 | k
+	arrival            uint64 // fleet-wide admission order, drives FIFO fairness
+	tasks              []task
 	reqFrame, resFrame byte
 	// clamp caps one connection's in-flight share of this dispatch at
 	// ⌈tasks/width⌉ — the largest share a connection could hold if the
@@ -145,7 +144,6 @@ func (f *Fleet) dispatch(tasks []task, reqFrame, resFrame byte) error {
 	d := &dispatch{
 		id:        f.nextID,
 		arrival:   f.arrival,
-		weight:    1,
 		tasks:     tasks,
 		reqFrame:  reqFrame,
 		resFrame:  resFrame,
@@ -440,7 +438,6 @@ func (f *Fleet) pickLocked(s *slot) (*dispatch, bool) {
 					Arrival: c.arrival,
 					Queued:  len(c.queue),
 					Total:   len(c.tasks),
-					Weight:  c.weight,
 				})
 			}
 		}

@@ -101,6 +101,12 @@ func runTenants(t *testing.T, f *Fleet, r tenantRefs) {
 	}
 }
 
+// newestFirst claims from the youngest eligible dispatch — the reverse
+// of FIFO, so the differential also covers a non-FIFO claim order.
+type newestFirst struct{}
+
+func (newestFirst) Pick(views []DispatchView) int { return len(views) - 1 }
+
 // TestConcurrentDispatchesDifferential is the tentpole differential:
 // three tenants (two batches + one sweep) run concurrently over one
 // shared two-worker fleet under each fairness policy, and each
@@ -111,13 +117,13 @@ func TestConcurrentDispatchesDifferential(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 	wl2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl2.Close()
-	go ServeListener(wl2)
+	go NewServer(ServeOptions{}).Serve(wl2)
 
 	r := newTenantRefs(t)
 	policies := []struct {
@@ -126,8 +132,7 @@ func TestConcurrentDispatchesDifferential(t *testing.T) {
 	}{
 		{"fifo-default", nil},
 		{"fifo", FIFO{}},
-		{"deepest-queue", DeepestQueue{}},
-		{"weighted", Weighted{}},
+		{"newest-first", newestFirst{}},
 	}
 	for _, tc := range policies {
 		t.Run(tc.name, func(t *testing.T) {
@@ -155,7 +160,7 @@ func TestConcurrentDispatchesUnderChaos(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 
 	r := newTenantRefs(t)
 	for seed := int64(1); seed <= 2; seed++ {
@@ -197,13 +202,13 @@ func TestConcurrentDispatchesMembershipChange(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 	wl2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl2.Close()
-	go ServeListener(wl2)
+	go NewServer(ServeOptions{}).Serve(wl2)
 
 	r := newTenantRefs(t)
 	f, err := Dial(Config{Hosts: tcpHosts(wl.Addr().String()), Window: 1})
@@ -243,13 +248,13 @@ func TestSnapshotDuringConcurrentDispatches(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 	wl2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl2.Close()
-	go ServeListener(wl2)
+	go NewServer(ServeOptions{}).Serve(wl2)
 
 	r := newTenantRefs(t)
 	f, err := Dial(Config{Hosts: tcpHosts(wl.Addr().String(), wl2.Addr().String())})
@@ -287,35 +292,6 @@ func TestSnapshotDuringConcurrentDispatches(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("no snapshot completed while dispatches were live")
-	}
-}
-
-// TestFairnessPolicies pins the pure policy arithmetic: FIFO always
-// serves the head, DeepestQueue the longest queue (ties to the older
-// dispatch), Weighted the largest weighted remaining fraction.
-func TestFairnessPolicies(t *testing.T) {
-	views := []DispatchView{
-		{ID: 1, Arrival: 1, Queued: 3, Total: 10, Weight: 1},
-		{ID: 2, Arrival: 2, Queued: 8, Total: 10, Weight: 1},
-		{ID: 3, Arrival: 3, Queued: 8, Total: 10, Weight: 1},
-	}
-	if got := (FIFO{}).Pick(views); got != 0 {
-		t.Errorf("FIFO.Pick = %d, want 0", got)
-	}
-	if got := (DeepestQueue{}).Pick(views); got != 1 {
-		t.Errorf("DeepestQueue.Pick = %d, want 1 (deepest, older on tie)", got)
-	}
-	if got := (Weighted{}).Pick(views); got != 1 {
-		t.Errorf("Weighted.Pick = %d, want 1 (equal weights reduce to deepest fraction)", got)
-	}
-	weighted := []DispatchView{
-		{ID: 1, Arrival: 1, Queued: 4, Total: 10, Weight: 1},
-		{ID: 2, Arrival: 2, Queued: 2, Total: 10, Weight: 5},
-		{ID: 3, Arrival: 3, Queued: 9, Total: 10, Weight: 0}, // 0 weight reads as 1
-	}
-	// Scores: 0.4, 1.0 (2/10·5), 0.9 — the weight hint beats raw depth.
-	if got := (Weighted{}).Pick(weighted); got != 1 {
-		t.Errorf("Weighted.Pick = %d, want 1 (weighted fraction 1.0 wins)", got)
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // byte-identical to measure.SweepParallel for every fleet shape,
 // window depth, and in-worker pool size — and a sweep can share a
 // Fleet session with the simulation batches around it (exps.T5 runs
-// over the same dialed fleet as T1–T4).
+// over the same dialed fleet as T1–T4, or in-process when that fleet
+// is nil).
 
 // Sweep runs the n-sample Monte-Carlo sweep across the session's
 // fleet and returns the merged Stats, identical to
@@ -40,12 +41,31 @@ func (f *Fleet) Sweep(n int, epsilons []float64, box measure.Box, seed int64, wo
 // determinism guarantee — after a warning on the config's stderr. A
 // failure keeps every chunk the fleet did deliver and recomputes only
 // the holes, so a fleet dying late costs a remainder, not the whole
-// sweep twice.
+// sweep twice. A nil fleet runs measure.SweepParallel.
 func (f *Fleet) SweepOrFallback(n int, epsilons []float64, box measure.Box, seed int64, workers int) measure.Stats {
-	chunks, err := f.sweepChunks(n, epsilons, box, seed, workers)
-	if err != nil {
-		spliceSweepHoles(chunks, n, epsilons, box, seed, workers, err, f.cfg)
+	if f == nil {
+		return measure.SweepParallel(n, epsilons, box, seed, workers)
 	}
+	chunks, err := f.sweepChunks(n, epsilons, box, seed, workers)
+	if err == nil {
+		return measure.MergeChunks(chunks, n)
+	}
+	var missing []int
+	for i, c := range chunks {
+		if c.Samples == 0 { // never delivered (real chunks draw ≥ 1 sample)
+			missing = append(missing, i)
+		}
+	}
+	// The chunk count stays in the message text (not an attribute): the
+	// window tests assert the exact "for k/n chunks" phrasing, and a
+	// human scanning a log wants the damage extent inline anyway.
+	mFallbacks.Inc()
+	logOf(f.cfg).Warn(fmt.Sprintf("dist: distributed sweep failed; falling back in-process for %d/%d chunks", len(missing), len(chunks)),
+		"err", err, "hosts", hostSummary(f.cfg))
+	pool.Do(len(missing), pool.Workers(workers, len(missing)), func(k int) {
+		i := missing[k]
+		chunks[i] = measure.Sweep(measure.ChunkSamples(n, i), epsilons, box, measure.ChunkSeed(seed, i))
+	})
 	return measure.MergeChunks(chunks, n)
 }
 
@@ -85,78 +105,4 @@ func (f *Fleet) sweepChunks(n int, epsilons []float64, box measure.Box, seed int
 	}
 	err := f.dispatch(tasks, wire.FrameSweepJob, wire.FrameSweepResult)
 	return chunks, err
-}
-
-// spliceSweepHoles recomputes the undelivered chunks of a failed
-// distributed sweep on the in-process pool, after the warning.
-func spliceSweepHoles(chunks []measure.Stats, n int, epsilons []float64, box measure.Box, seed int64, workers int, err error, cfg Config) {
-	var missing []int
-	for i, c := range chunks {
-		if c.Samples == 0 { // never delivered (real chunks draw ≥ 1 sample)
-			missing = append(missing, i)
-		}
-	}
-	// The chunk count stays in the message text (not an attribute): the
-	// window tests assert the exact "for k/n chunks" phrasing, and a
-	// human scanning a log wants the damage extent inline anyway.
-	mFallbacks.Inc()
-	logOf(cfg).Warn(fmt.Sprintf("dist: distributed sweep failed; falling back in-process for %d/%d chunks", len(missing), len(chunks)),
-		"err", err, "hosts", hostSummary(cfg))
-	pool.Do(len(missing), pool.Workers(workers, len(missing)), func(k int) {
-		i := missing[k]
-		chunks[i] = measure.Sweep(measure.ChunkSamples(n, i), epsilons, box, measure.ChunkSeed(seed, i))
-	})
-}
-
-// Sweep runs the sweep over an ephemeral session (dial, sweep, close),
-// identical to measure.SweepParallel for every fleet shape. The error
-// is non-nil when the fleet could not be reached or lost chunks.
-func Sweep(n int, epsilons []float64, box measure.Box, seed int64, workers int, cfg Config) (measure.Stats, error) {
-	f, err := dialForChunks(n, cfg)
-	if err != nil {
-		return measure.Stats{}, err
-	}
-	if f == nil {
-		return measure.SweepParallel(n, epsilons, box, seed, workers), nil
-	}
-	defer f.Close()
-	return f.Sweep(n, epsilons, box, seed, workers)
-}
-
-// SweepOrFallback is Sweep over an ephemeral session with the standard
-// degradation policy: no configured fleet, an unreachable fleet, or a
-// mid-run fleet loss all complete in-process, byte-identically.
-func SweepOrFallback(n int, epsilons []float64, box measure.Box, seed int64, workers int, cfg Config) measure.Stats {
-	if !cfg.Enabled() {
-		return measure.SweepParallel(n, epsilons, box, seed, workers)
-	}
-	f, err := dialForChunks(n, cfg)
-	if err != nil {
-		mFallbacks.Inc()
-		logOf(cfg).Warn(fmt.Sprintf("dist: distributed sweep failed; falling back in-process for %d/%d chunks", measure.NumChunks(n), measure.NumChunks(n)),
-			"err", err, "hosts", hostSummary(cfg))
-		return measure.SweepParallel(n, epsilons, box, seed, workers)
-	}
-	if f == nil {
-		return measure.SweepParallel(n, epsilons, box, seed, workers)
-	}
-	defer f.Close()
-	return f.SweepOrFallback(n, epsilons, box, seed, workers)
-}
-
-// dialForChunks dials an ephemeral session capped at the sweep's chunk
-// count (as RunStream caps at the remote-job count); nil with no error
-// means the sweep is empty and needs no fleet.
-func dialForChunks(n int, cfg Config) (*Fleet, error) {
-	nChunks := measure.NumChunks(n)
-	if nChunks == 0 {
-		return nil, nil
-	}
-	if cfg.Procs > nChunks {
-		cfg.Procs = nChunks
-	}
-	if len(cfg.Hosts) > nChunks {
-		cfg.Hosts = cfg.Hosts[:nChunks]
-	}
-	return Dial(cfg)
 }

@@ -72,7 +72,7 @@ func TestCompressDifferential(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 
 	ins := drawInstances(3)
 	ins = append(ins, ins[0]) // a duplicate keeps memoization in the frame
@@ -90,7 +90,7 @@ func TestCompressDifferential(t *testing.T) {
 	wtx0, wraw0 := wWireTxBytes.Value(), wWireRawBytes.Value()
 
 	var log bytes.Buffer
-	got, gotStats, err := Run(aurvJobs(t, ins, set), 1, Config{
+	got, gotStats, err := runOnce(aurvJobs(t, ins, set), 1, Config{
 		Hosts:    tcpHosts(p.Addr()),
 		Compress: true,
 		Stderr:   &log,
@@ -135,7 +135,7 @@ func TestCompressFaultDifferential(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 
 	ins := drawInstances(3)
 	set := testSettings()
@@ -160,7 +160,7 @@ func TestCompressFaultDifferential(t *testing.T) {
 			}
 			defer p.Close()
 			var log bytes.Buffer
-			got, gotStats, err := Run(aurvJobs(t, ins, set), 1, Config{
+			got, gotStats, err := runOnce(aurvJobs(t, ins, set), 1, Config{
 				Hosts:        tcpHosts(p.Addr()),
 				Compress:     true,
 				Window:       2,
@@ -197,7 +197,7 @@ func TestTraceStreamingDifferential(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 
 	set := testSettings()
 	set.TraceCap = 300 // ~7 chunks per trace at the lowered threshold
@@ -216,7 +216,7 @@ func TestTraceStreamingDifferential(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var log bytes.Buffer
-			got, gotStats, err := Run(zigJobs(t, set), 1, Config{
+			got, gotStats, err := runOnce(zigJobs(t, set), 1, Config{
 				Hosts:    tcpHosts(wl.Addr().String()),
 				Compress: compress,
 				Window:   2,
@@ -249,7 +249,7 @@ func TestTraceStreamingFaultDifferential(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer wl.Close()
-	go ServeListener(wl)
+	go NewServer(ServeOptions{}).Serve(wl)
 
 	set := testSettings()
 	set.TraceCap = 300
@@ -266,7 +266,7 @@ func TestTraceStreamingFaultDifferential(t *testing.T) {
 	defer p.Close()
 
 	var log bytes.Buffer
-	got, gotStats, err := Run(zigJobs(t, set), 1, Config{
+	got, gotStats, err := runOnce(zigJobs(t, set), 1, Config{
 		Hosts:        tcpHosts(p.Addr()),
 		Compress:     true,
 		Window:       2,
@@ -304,7 +304,7 @@ func TestCompressOffByWorker(t *testing.T) {
 	set.TraceCap = 256
 	want, _ := batch.Run(aurvJobs(t, ins, set), 1)
 
-	got, _, err := Run(aurvJobs(t, ins, set), 1, Config{
+	got, _, err := runOnce(aurvJobs(t, ins, set), 1, Config{
 		Hosts:    tcpHosts(wl.Addr().String()),
 		Compress: true,
 	})

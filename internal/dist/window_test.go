@@ -61,7 +61,7 @@ func TestWindowedMatchesSerial(t *testing.T) {
 	set.Parallelism = 2 // forwarded: sizes each worker's in-process pool
 
 	want, wantStats := batch.Run(aurvJobs(t, ins, set), 1)
-	got, gotStats, err := Run(aurvJobs(t, ins, set), 1, Config{Procs: 2, Window: 4})
+	got, gotStats, err := runOnce(aurvJobs(t, ins, set), 1, Config{Procs: 2, Window: 4})
 	if err != nil {
 		t.Fatalf("windowed run failed: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestWorkerDeathWindowRequeues(t *testing.T) {
 				}
 			}
 		}()
-		Serve(pr, conn)
+		Serve(pr, conn, ServeOptions{})
 	}()
 
 	ins := drawInstances(4)
@@ -152,7 +152,7 @@ func TestWorkerDeathWindowRequeues(t *testing.T) {
 	jobs := aurvJobs(t, ins, set)
 	want, wantStats := batch.Run(aurvJobs(t, ins, set), 1)
 
-	st, err := RunStream(jobs, 1, Config{
+	f, err := Dial(Config{
 		Hosts:       tcpHosts(l.Addr().String(), sl.Addr().String()),
 		Window:      4,
 		MaxRespawns: -1, // the flaky fake never accepts again
@@ -160,10 +160,12 @@ func TestWorkerDeathWindowRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream start failed: %v", err)
 	}
+	st := f.RunStream(jobs, 1)
 	var got []sim.Result
 	for r := range st.Results() {
 		got = append(got, r)
 	}
+	f.Close()
 	if err := st.Err(); err != nil {
 		t.Fatalf("stream ended with error: %v", err)
 	}
@@ -197,7 +199,7 @@ func TestTCPRespawnMidRun(t *testing.T) {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer l.Close()
-	go ServeListener(l)
+	go NewServer(ServeOptions{}).Serve(l)
 	p, err := NewChaosProxy(l.Addr().String(), ChaosPlan{
 		Scripts: []ConnScript{{ToCoord: []Fault{{Kind: FaultDrop, Frame: 1}}}},
 	})
@@ -209,7 +211,7 @@ func TestTCPRespawnMidRun(t *testing.T) {
 	ins := drawInstances(3)
 	set := testSettings()
 	want, _ := batch.Run(aurvJobs(t, ins, set), 1)
-	got, _, err := Run(aurvJobs(t, ins, set), 1, Config{
+	got, _, err := runOnce(aurvJobs(t, ins, set), 1, Config{
 		Hosts:      tcpHosts(p.Addr()),
 		Window:     2,
 		RedialWait: 10 * time.Millisecond,
@@ -233,7 +235,7 @@ func TestStdioRespawnMidRun(t *testing.T) {
 	ins := drawInstances(3)
 	set := testSettings()
 	want, _ := batch.Run(aurvJobs(t, ins, set), 1)
-	got, _, err := Run(aurvJobs(t, ins, set), 1, Config{
+	got, _, err := runOnce(aurvJobs(t, ins, set), 1, Config{
 		Procs:      1,
 		Window:     2,
 		RedialWait: 10 * time.Millisecond,
@@ -275,7 +277,7 @@ func TestRespawnBudgetExhausted(t *testing.T) {
 	}()
 
 	ins := drawInstances(2)
-	_, _, err = Run(aurvJobs(t, ins, testSettings()), 1, Config{
+	_, _, err = runOnce(aurvJobs(t, ins, testSettings()), 1, Config{
 		Hosts:       tcpHosts(l.Addr().String()),
 		MaxRespawns: 2,
 		RedialWait:  5 * time.Millisecond,
@@ -302,7 +304,12 @@ func TestDistSweepMatchesInProcess(t *testing.T) {
 			{Procs: 2, Window: 2},
 			{Procs: 2, Window: 4},
 		} {
-			got, err := Sweep(n, eps, box, seed, workers, cfg)
+			f, err := Dial(cfg)
+			if err != nil {
+				t.Fatalf("fleet dial (cfg=%+v) failed: %v", cfg, err)
+			}
+			got, err := f.Sweep(n, eps, box, seed, workers)
+			f.Close()
 			if err != nil {
 				t.Fatalf("dist sweep (workers=%d cfg=%+v) failed: %v", workers, cfg, err)
 			}
@@ -312,7 +319,8 @@ func TestDistSweepMatchesInProcess(t *testing.T) {
 		}
 	}
 	// The fallback path is the same function.
-	if got := SweepOrFallback(n, eps, box, seed, 2, Config{}); !reflect.DeepEqual(got, measure.SweepParallel(n, eps, box, seed, 2)) {
+	var none *Fleet
+	if got := none.SweepOrFallback(n, eps, box, seed, 2); !reflect.DeepEqual(got, measure.SweepParallel(n, eps, box, seed, 2)) {
 		t.Fatal("SweepOrFallback without a fleet diverges from SweepParallel")
 	}
 }
@@ -366,12 +374,17 @@ func TestSweepFallbackSplicesDeliveredChunks(t *testing.T) {
 	}()
 
 	var log bytes.Buffer
-	got := SweepOrFallback(n, eps, box, seed, 1, Config{
+	f, err := Dial(Config{
 		Hosts:       tcpHosts(l.Addr().String()),
 		Window:      1,
 		MaxRespawns: -1,
 		Stderr:      &log,
 	})
+	if err != nil {
+		t.Fatalf("fleet dial failed: %v", err)
+	}
+	got := f.SweepOrFallback(n, eps, box, seed, 1)
+	f.Close()
 	if want := measure.SweepParallel(n, eps, box, seed, 1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("spliced fallback sweep diverges:\n%+v\nvs\n%+v", got, want)
 	}

@@ -393,10 +393,11 @@ func streamTraces(rb *replyBatcher, seq uint64, res sim.Result) {
 // drain); anything else is an error. A session coordinator holds one
 // stream open across many batches, so returning means the session
 // ended, not just a batch.
-func Serve(r io.Reader, w io.Writer) error { return ServeWith(r, w, ServeOptions{}) }
-
-// ServeWith is Serve with explicit options.
-func ServeWith(r io.Reader, w io.Writer, opts ServeOptions) error {
+//
+// Serve is one of the worker's three entry points: Server serves it
+// over every connection a TCP listener accepts, and MaybeServeStdio
+// serves it on stdin/stdout for coordinator-spawned subprocesses.
+func Serve(r io.Reader, w io.Writer, opts ServeOptions) error {
 	br := bufio.NewReader(r)
 	bw := bufio.NewWriter(w)
 	caps := wire.CapCompress
@@ -586,13 +587,10 @@ func ServeWith(r io.Reader, w io.Writer, opts ServeOptions) error {
 	}
 }
 
-// ServeStdio serves the worker protocol on stdin/stdout — the transport
-// of coordinator-spawned subprocess workers.
-func ServeStdio() error { return ServeWith(os.Stdin, os.Stdout, ServeOptions{Name: "stdio"}) }
-
-// MaybeServeStdio turns the current process into a stdio worker and
-// exits when the WorkerEnv marker is set, and returns immediately
-// otherwise. Binaries that want to be their own worker fleet (every
+// MaybeServeStdio turns the current process into a stdio worker —
+// Serve on stdin/stdout, the transport of coordinator-spawned
+// subprocesses — and exits when the WorkerEnv marker is set, and
+// returns immediately otherwise. Binaries that want to be their own worker fleet (every
 // cmd/ main of this repo, test binaries) call it first thing in main —
 // the coordinator's default WorkerCmd re-executes the current binary
 // with the marker set, so a single binary serves both roles.
@@ -600,28 +598,18 @@ func MaybeServeStdio() {
 	if os.Getenv(WorkerEnv) == "" {
 		return
 	}
-	if err := ServeStdio(); err != nil {
+	if err := Serve(os.Stdin, os.Stdout, ServeOptions{Name: "stdio"}); err != nil {
 		fmt.Fprintln(os.Stderr, "rvworker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// ServeListener accepts connections and serves each as an independent
-// worker stream (each with its own in-worker pool; host-level
-// parallelism also comes from multiple connections or multiple worker
-// processes). It returns the first Accept error; per-connection
-// protocol errors are reported to stderr and end only their connection.
-func ServeListener(l net.Listener) error { return ServeListenerWith(l, ServeOptions{}) }
-
-// ServeListenerWith is ServeListener with explicit options (the
-// rvworker -pool and -v flags).
-func ServeListenerWith(l net.Listener, opts ServeOptions) error {
-	return NewServer(opts).Serve(l)
-}
-
 // Server is a TCP worker with graceful shutdown: Serve accepts
-// connections like ServeListener, and Shutdown drains — stop
+// connections and serves each as an independent worker stream (each
+// with its own in-worker pool; host-level parallelism also comes from
+// multiple connections or multiple worker processes), and Shutdown
+// drains — stop
 // accepting, unblock every connection's read loop, let the in-flight
 // executors finish and their replies flush, then wait for the
 // handlers. It is the SIGTERM/SIGINT path of cmd/rvworker: a drained
@@ -682,7 +670,7 @@ func (s *Server) Serve(l net.Listener) error {
 			defer conn.Close()
 			co := s.opts
 			co.Name = conn.RemoteAddr().String()
-			err := ServeWith(conn, conn, co)
+			err := Serve(conn, conn, co)
 			s.mu.Lock()
 			delete(s.conns, conn)
 			closing := s.closing
@@ -698,7 +686,7 @@ func (s *Server) Serve(l net.Listener) error {
 
 // Shutdown drains the server: the listener closes (no new streams),
 // every live connection's pending read is unblocked via an expired
-// read deadline — ServeWith's finish path then waits for its in-flight
+// read deadline — Serve's finish path then waits for its in-flight
 // executors and flushes the reply batcher (the write half keeps no
 // deadline, so final replies always land) — and Shutdown returns when
 // every handler has exited. The return value is the number of replies
@@ -733,17 +721,3 @@ func (s *Server) Shutdown() int {
 // single source of truth, so the drain log can never disagree with
 // /metrics.
 func RepliesFlushed() uint64 { return wReplies.Value() + wErrors.Value() }
-
-// ListenAndServe listens on the TCP address and serves worker
-// connections forever (the cmd/rvworker -listen mode).
-func ListenAndServe(addr string) error { return ListenAndServeWith(addr, ServeOptions{}) }
-
-// ListenAndServeWith is ListenAndServe with explicit options.
-func ListenAndServeWith(addr string, opts ServeOptions) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	slog.Info("rvworker: listening", "addr", l.Addr().String())
-	return ServeListenerWith(l, opts)
-}

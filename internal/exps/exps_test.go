@@ -182,7 +182,12 @@ func TestT5DistributedMatchesInProcess(t *testing.T) {
 	}
 	local := T5(200_000, 5, Budgets{Workers: 2}).String()
 	var distLog strings.Builder
-	d := T5(200_000, 5, Budgets{Workers: 2, Dist: dist.Config{Procs: 2, Window: 2, Stderr: &distLog}}).String()
+	f, err := dist.Dial(dist.Config{Procs: 2, Window: 2, Stderr: &distLog})
+	if err != nil {
+		t.Fatalf("fleet dial failed: %v", err)
+	}
+	d := T5(200_000, 5, Budgets{Workers: 2, Fleet: f}).String()
+	f.Close()
 	if local != d {
 		t.Errorf("T5 output depends on distribution:\n%s\nvs\n%s", local, d)
 	}
@@ -196,9 +201,7 @@ func TestT5DistributedMatchesInProcess(t *testing.T) {
 // TestSharedFleetAcrossTables is the session acceptance criterion at
 // the experiment-suite level: T2, T3, and T5 run over ONE dialed fleet
 // (Budgets.Fleet, the rvtable path) must render byte-identically to
-// the in-process tables AND cost exactly one worker connection, where
-// the per-table path (Budgets.Dist, a fleet per b.run/b.sweep call)
-// pays one per table.
+// the in-process tables AND cost exactly one worker connection.
 func TestSharedFleetAcrossTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dials TCP worker fleets")
@@ -218,7 +221,7 @@ func TestSharedFleetAcrossTables(t *testing.T) {
 			conns.Add(1)
 			go func() {
 				defer conn.Close()
-				dist.Serve(conn, conn)
+				dist.Serve(conn, conn, dist.ServeOptions{})
 			}()
 		}
 	}()
@@ -245,27 +248,13 @@ func TestSharedFleetAcrossTables(t *testing.T) {
 	if n := conns.Load(); n != 1 {
 		t.Fatalf("shared fleet used %d connections for 3 tables, want exactly 1", n)
 	}
-
-	// Per-table path: every table that reaches the fleet dials afresh.
-	// T2's jobs all carry Progress observers (no wire form), so only T3
-	// and T5 touch the fleet — still two dials where the session needed
-	// one, and the gap widens with every table and rerun.
-	perTable := b
-	perTable.Dist = cfg
-	gotT2, gotT3, gotT5 = run(perTable)
-	if gotT2 != wantT2 || gotT3 != wantT3 || gotT5 != wantT5 {
-		t.Fatal("per-table-fleet tables differ from in-process tables")
-	}
-	if n := conns.Load() - 1; n != 2 {
-		t.Fatalf("per-table path used %d connections, want 2 (T3 and T5 each dial)", n)
-	}
 }
 
 // TestFiguresParallelMatchesSerial: the simulated figures are identical
 // for any pool size.
 func TestFiguresParallelMatchesSerial(t *testing.T) {
-	s := FiguresWith(1)
-	p := FiguresWith(8)
+	s := FiguresDist(Budgets{Workers: 1})
+	p := FiguresDist(Budgets{Workers: 8})
 	for name := range s {
 		if s[name] != p[name] {
 			t.Errorf("%s depends on worker count", name)

@@ -18,23 +18,18 @@ import (
 // Figures regenerates the paper's five figures as SVG documents, keyed
 // "fig1" … "fig5". Each is drawn from computed geometry or actually
 // simulated trajectories, not hand-placed artwork.
-func Figures() map[string]string { return FiguresWith(0) }
+func Figures() map[string]string { return FiguresDist(Budgets{}) }
 
-// FiguresWith regenerates the figures, fanning the simulated runs
-// behind Fig4 and Fig5 through the batch pool with the given worker
-// count (0 selects GOMAXPROCS). Output is identical for every count.
-func FiguresWith(workers int) map[string]string {
-	return FiguresDist(Budgets{Workers: workers})
-}
-
-// FiguresDist is FiguresWith with an optional worker fleet
-// (Budgets.Dist): Fig4's wire-formed AURV run may execute in a worker
-// process — its recorded trajectory crosses the codec bit-exactly —
-// while Fig5's closure-built dedicated algorithm stays in-process.
-// Output is identical either way.
+// FiguresDist regenerates the figures, fanning the simulated runs
+// behind Fig4 and Fig5 through the batch pool of b.Workers (0 selects
+// GOMAXPROCS) and, when b.Fleet is set, the worker fleet: Fig4's
+// wire-formed AURV run may execute in a worker process — its recorded
+// trajectory crosses the codec bit-exactly — while Fig5's closure-built
+// dedicated algorithm stays in-process. Output is identical for every
+// pool size and fleet.
 func FiguresDist(b Budgets) map[string]string {
 	jobs := []batch.Job{fig4Job(), fig5Job()}
-	res, _ := b.run(jobs)
+	res, _ := b.Fleet.RunOrFallback(jobs, b.Workers)
 	return map[string]string{
 		"fig1": Fig1(),
 		"fig2": Fig2(),

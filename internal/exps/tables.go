@@ -35,39 +35,16 @@ type Budgets struct {
 	// T2–T5 and the simulated figures; 0 selects GOMAXPROCS. Tables are
 	// byte-identical for every value (see internal/batch).
 	Workers int
-	// Dist, when enabled, distributes wire-formed jobs over the worker
-	// fleet it names (internal/dist). Jobs that carry observers — every
-	// AURV job whose phase/block progress feeds a table column — have no
-	// wire form and stay in-process, so tables remain byte-identical
-	// with or without a fleet.
-	Dist dist.Config
 	// Fleet, when non-nil, is a dialed persistent worker session
 	// (dist.Dial) shared by every batch and sweep of the suite: one
-	// handshake per host for the whole T1–T6 run instead of one per
-	// table. It takes precedence over Dist for dispatch (the caller
-	// typically dialed it from Dist) and stays open — closing it is the
-	// caller's job.
+	// handshake per host for the whole T1–T6 run. Jobs that carry
+	// observers — every AURV job whose phase/block progress feeds a
+	// table column — have no wire form and stay in-process, so tables
+	// remain byte-identical with or without a fleet. nil runs
+	// everything in-process; a fleet failure falls back in-process
+	// (purity makes the fallback invisible in the tables). The fleet
+	// stays open — closing it is the caller's job.
 	Fleet *dist.Fleet
-}
-
-// run executes a job batch through the shared fleet session when one
-// is attached, through an ephemeral fleet when Dist names one, and
-// in-process otherwise; a fleet failure falls back in-process (purity
-// makes the fallback invisible in the tables).
-func (b Budgets) run(jobs []batch.Job) ([]sim.Result, batch.Stats) {
-	if b.Fleet != nil {
-		return b.Fleet.RunOrFallback(jobs, b.Workers)
-	}
-	return dist.RunOrFallback(jobs, b.Workers, b.Dist)
-}
-
-// sweep routes the T5 Monte-Carlo sweep the same way run routes
-// batches: shared session, ephemeral fleet, or in-process pool.
-func (b Budgets) sweep(n int, eps []float64, box measure.Box, seed int64) measure.Stats {
-	if b.Fleet != nil {
-		return b.Fleet.SweepOrFallback(n, eps, box, seed, b.Workers)
-	}
-	return dist.SweepOrFallback(n, eps, box, seed, b.Workers, b.Dist)
 }
 
 // DefaultBudgets returns budgets that finish the whole suite in minutes,
@@ -222,7 +199,7 @@ func T2(seed int64, nPerType int, b Budgets) *report.Table {
 			}
 		}
 	}
-	results, _ := b.run(jobs)
+	results, _ := b.Fleet.RunOrFallback(jobs, b.Workers)
 	for _, ty := range types {
 		var times []float64
 		met, maxPhase := 0, 0
@@ -274,7 +251,7 @@ func T3(seed int64, nPerCell int, b Budgets) *report.Table {
 		// wireName is the registered wire identity of the algorithm
 		// (empty for Dedicated, whose per-instance closures cannot cross
 		// a process boundary): cells with one may execute on the worker
-		// fleet when Budgets.Dist is enabled.
+		// fleet when Budgets.Fleet is set.
 		wireName string
 		mk       func(in inst.Instance) (func() prog.Program, bool)
 		// guaranteed reports whether the algorithm's contract covers the
@@ -335,7 +312,7 @@ func T3(seed int64, nPerCell int, b Budgets) *report.Table {
 			}
 		}
 	}
-	results, _ := b.run(jobs)
+	results, _ := b.Fleet.RunOrFallback(jobs, b.Workers)
 	met := make(map[cellRef]int, len(classes)*len(algs))
 	for i, res := range results {
 		if res.Met {
@@ -392,7 +369,7 @@ func T4(seed int64, b Budgets) *report.Table {
 	alignedJob, _ := aurvJob(aligned, b.MeetSegments)
 	jobs = append(jobs, alignedJob)
 
-	results, _ := b.run(jobs)
+	results, _ := b.Fleet.RunOrFallback(jobs, b.Workers)
 
 	// 1. Generic S2 instances: AURV does not meet; dedicated meets at
 	// gap exactly r within the Lemma 3.9 bound.
@@ -443,7 +420,7 @@ func T4(seed int64, b Budgets) *report.Table {
 
 // T5 validates the measure-theoretic smallness argument of Section 4.
 // The Monte-Carlo sweep fans out over b.Workers goroutines (0 selects
-// GOMAXPROCS) — or, when b.Dist names a worker fleet, ships its chunks
+// GOMAXPROCS) — or, when b.Fleet is a dialed session, ships its chunks
 // to worker processes over the wire — with a worker-count-independent
 // chunking, so the table is byte-identical for any parallelism degree
 // and any fleet shape.
@@ -452,10 +429,10 @@ func T5(samples int, seed int64, b Budgets) *report.Table {
 		"quantity", "value", "theory")
 	eps := []float64{0.25, 0.35, 0.5}
 	// The Monte-Carlo chunks distribute over the same worker fleet as
-	// the simulation batches (b.Fleet / b.Dist); without a fleet — or
+	// the simulation batches (b.Fleet); without a fleet — or
 	// if the fleet fails — they run on the in-process pool,
 	// byte-identically.
-	s := b.sweep(samples, eps, measure.DefaultBox(), seed)
+	s := b.Fleet.SweepOrFallback(samples, eps, measure.DefaultBox(), seed, b.Workers)
 	t.Add("samples", s.Samples, "-")
 	t.Add("feasible share", fmt.Sprintf("%.3f", s.FeasibleShare), "> 0 (fat set)")
 	t.Add("exact S1 hits", s.ExactS1, "0 (measure zero)")

@@ -2,12 +2,16 @@ package rendezvous_test
 
 import (
 	"bytes"
+	"net"
 	"os"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/batch"
 	"repro/internal/dist"
 	"repro/internal/inst"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/wire"
 	"repro/rendezvous"
@@ -122,7 +126,12 @@ func TestDistMatchesInProcess(t *testing.T) {
 
 	serialRes, serialStats := batch.Run(mkJobs(), 1)
 	parallelRes, parallelStats := batch.Run(mkJobs(), 4)
-	distRes, distStats, err := dist.Run(mkJobs(), 1, dist.Config{Procs: 2})
+	f, err := dist.Dial(dist.Config{Procs: 2})
+	if err != nil {
+		t.Fatalf("fleet dial failed: %v", err)
+	}
+	distRes, distStats, err := f.Run(mkJobs(), 1)
+	f.Close()
 	if err != nil {
 		t.Fatalf("distributed run failed: %v", err)
 	}
@@ -271,5 +280,80 @@ func TestDistFallback(t *testing.T) {
 	got := rendezvous.SimulateBatch(ins, alg, bad)
 	if !bytes.Equal(encodeAll(t, want), encodeAll(t, got)) {
 		t.Fatal("fallback results differ from in-process")
+	}
+}
+
+// counter reads one process-wide counter family, summed over labels.
+func counter(t *testing.T, name string) float64 {
+	t.Helper()
+	sum := 0.0
+	for _, c := range obs.TakeSnapshot().Counters {
+		if c.Name == name {
+			sum += c.Value
+		}
+	}
+	return sum
+}
+
+// TestOneShotSkipsDialWithoutWireJobs: a batch none of whose jobs has
+// a wire form never dials the fleet its settings name — here an
+// unspawnable worker command, which would otherwise cost a warned,
+// counted fallback.
+func TestOneShotSkipsDialWithoutWireJobs(t *testing.T) {
+	ins := distInstances(t)[:1]
+	alg, ok := rendezvous.Dedicated(ins[0]) // closure-built: no wire form
+	if !ok {
+		t.Fatal("precondition: instance has no dedicated algorithm")
+	}
+	want := rendezvous.SimulateBatch(ins, alg, distSettings())
+	dset := distSettings()
+	dset.WorkerProcs = 1
+	dset.WorkerCmd = "/nonexistent/worker-binary"
+	fallbacks0 := counter(t, "rv_dist_fallbacks_total")
+	got := rendezvous.SimulateBatch(ins, alg, dset)
+	if !bytes.Equal(encodeAll(t, got), encodeAll(t, want)) {
+		t.Fatal("local-only batch differs from in-process")
+	}
+	if d := counter(t, "rv_dist_fallbacks_total") - fallbacks0; d != 0 {
+		t.Fatalf("%v fallbacks: the batch dialed a fleet it had no job for", d)
+	}
+}
+
+// TestOneShotFleetNoWiderThanBatch: the one-shot session is capped at
+// the batch's unique wire-formed jobs — three host entries and a batch
+// of one instance three times over cost exactly one connection.
+func TestOneShotFleetNoWiderThanBatch(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	defer l.Close()
+	var conns atomic.Int64
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go func() {
+				defer conn.Close()
+				dist.Serve(conn, conn, dist.ServeOptions{})
+			}()
+		}
+	}()
+
+	in := distInstances(t)[0]
+	ins := []rendezvous.Instance{in, in, in}
+	alg := rendezvous.AlmostUniversalRV()
+	want := rendezvous.SimulateBatch(ins, alg, distSettings())
+	dset := distSettings()
+	dset.Hosts = strings.Repeat(l.Addr().String()+",", 3)
+	got := rendezvous.SimulateBatch(ins, alg, dset)
+	if !bytes.Equal(encodeAll(t, got), encodeAll(t, want)) {
+		t.Fatal("capped one-shot results differ from in-process")
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("one-shot session opened %d connections for 1 unique job, want 1", n)
 	}
 }

@@ -241,18 +241,44 @@ func distConfig(s Settings) (dist.Config, bool, error) {
 	return cfg, cfg.Enabled(), nil
 }
 
-// batchConfig is distConfig with the batch entry points' degradation
-// policy applied to parse errors: warn and run in-process (the same
-// policy an unreachable fleet gets).
-func batchConfig(s Settings) dist.Config {
-	cfg, _, err := distConfig(s)
+// dialBatch dials the session one SimulateBatch-style call runs on,
+// closed by the caller once the batch settles. It is nil — run
+// in-process — when the settings name no fleet, when a Hosts entry is
+// malformed, when no job has a wire form, or when no worker is
+// reachable; each failure is one warning (and, for the dial, one
+// rv_dist_fallbacks_total count). The session is no wider than the
+// batch's unique wire-formed jobs: a wider fleet only adds workers
+// that pay spawn and handshake cost and never claim a job.
+func dialBatch(jobs []batch.Job, s Settings) *dist.Fleet {
+	cfg, ok, err := distConfig(s)
 	if err != nil {
 		mSettingsFallbacks.Inc()
 		slog.Warn("rendezvous: malformed distribution settings; running in-process",
 			"err", err, "hosts", s.Hosts)
-		return dist.Config{}
+		return nil
 	}
-	return cfg
+	if !ok {
+		return nil
+	}
+	_, uniq := batch.Dedup(len(jobs), func(i int) any { return jobs[i].Key })
+	remote := 0
+	for _, i := range uniq {
+		if jobs[i].Wire != nil {
+			remote++
+		}
+	}
+	if remote == 0 {
+		return nil
+	}
+	cfg.Procs = min(cfg.Procs, remote)
+	cfg.Hosts = cfg.Hosts[:min(len(cfg.Hosts), remote)]
+	f, err := dist.Dial(cfg)
+	if err != nil {
+		slog.Warn("rendezvous: distributed batch failed; falling back to in-process",
+			"err", err, "hosts", s.Hosts, "procs", s.WorkerProcs)
+		return nil
+	}
+	return f
 }
 
 // SimulateBatch runs every instance under the algorithm on a pool of
@@ -279,7 +305,10 @@ func batchConfig(s Settings) dist.Config {
 // occurrence — set Settings.NoBatchMemoize to run every job.
 func SimulateBatch(ins []Instance, alg Algorithm, s Settings) []Result {
 	start := batchStart()
-	res, _ := dist.RunOrFallback(batchJobs(ins, alg, s), s.Parallelism, batchConfig(s))
+	jobs := batchJobs(ins, alg, s)
+	f := dialBatch(jobs, s)
+	res, _ := f.RunOrFallback(jobs, s.Parallelism)
+	f.Close()
 	recordBatch(len(ins), start)
 	return res
 }
@@ -299,7 +328,22 @@ func SimulateBatch(ins []Instance, alg Algorithm, s Settings) []Result {
 func SimulateBatchStream(ins []Instance, alg Algorithm, s Settings) <-chan Result {
 	mBatches.Inc()
 	mSims.Add(uint64(len(ins)))
-	return dist.StreamOrFallback(batchJobs(ins, alg, s), s.Parallelism, batchConfig(s))
+	jobs := batchJobs(ins, alg, s)
+	f := dialBatch(jobs, s)
+	if f == nil {
+		return f.StreamOrFallback(jobs, s.Parallelism)
+	}
+	// Relay through a channel of our own so the session closes before
+	// the consumer sees the stream end.
+	out := make(chan Result, len(ins))
+	go func() {
+		defer close(out)
+		defer f.Close()
+		for r := range f.StreamOrFallback(jobs, s.Parallelism) {
+			out <- r
+		}
+	}()
+	return out
 }
 
 // Fleet is a persistent worker session for batch simulation: dial the
