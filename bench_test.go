@@ -1,5 +1,5 @@
 // Package repro_test is the benchmark harness of the reproduction: one
-// benchmark per experiment table (T1–T5) and figure (F1–F5) — each
+// benchmark per experiment table (T1–T6) and figure (F1–F5) — each
 // regenerates the artifact under `go test -bench` — plus kernel
 // micro-benchmarks and the scaling/ablation sweeps called out in
 // DESIGN.md §4.
@@ -52,6 +52,12 @@ func quickBudgets() exps.Budgets {
 func BenchmarkT1Feasibility(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = exps.T1(1, 2, quickBudgets())
+	}
+}
+
+func BenchmarkT6Boundary(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		_ = exps.T6(6, quickBudgets())
 	}
 }
 

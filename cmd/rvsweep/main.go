@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/obs"
-	"repro/rendezvous"
 )
 
 func main() {
@@ -100,21 +99,8 @@ func main() {
 		StreamCSV(os.Stdout, *sweep, pts, set)
 		return
 	}
-	// A watched hosts file needs a fleet session the watcher can reshape
-	// while the sweep streams; an unreachable initial fleet degrades to
-	// in-process execution, which determinism makes invisible in the CSV.
-	f, derr := rendezvous.DialFleet(set)
-	if derr != nil {
-		slog.Warn("rvsweep: fleet unavailable (running in-process)", "err", derr)
-		StreamCSV(os.Stdout, *sweep, pts, set)
-		return
-	}
-	defer f.Close()
-	stop, werr := f.WatchHosts(*hostsFile, 0)
-	if werr != nil {
-		fmt.Fprintln(os.Stderr, werr)
+	if err := StreamCSVHostsFile(os.Stdout, *sweep, pts, set, *hostsFile); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer stop()
-	StreamCSVOn(os.Stdout, *sweep, pts, set, f)
 }

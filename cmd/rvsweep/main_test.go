@@ -1,7 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"log/slog"
+	"net"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,5 +167,57 @@ func TestSweepCSVEmission(t *testing.T) {
 		if serial := SweepCSV(tc.mode, pts, maxSeg, 1); serial != doc {
 			t.Errorf("%s: workers=1 and workers=4 documents differ:\n%s\nvs\n%s", tc.mode, serial, doc)
 		}
+	}
+}
+
+// TestHostsFileUnreachableDialsOnce pins the -hosts-file fallback: when
+// the roster's only worker refuses the handshake, the sweep dials it
+// exactly once, warns exactly once, and emits the local CSV. A fallback
+// that kept the fleet in its settings would dial (and warn) again.
+func TestHostsFileUnreachableDialsOnce(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	defer l.Close()
+	var dials atomic.Int64
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			conn.Close() // no hello: the dial fails
+		}
+	}()
+	path := filepath.Join(t.TempDir(), "hosts.txt")
+	if err := os.WriteFile(path, []byte(l.Addr().String()+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logBuf bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logBuf, nil)))
+	defer slog.SetDefault(prev)
+
+	const maxSeg = 2_000
+	pts, _, err := Points("delay", 0.5, 32, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	set := SweepSettings(maxSeg, 2, l.Addr().String(), 0, 0, 0, 0, 0, false)
+	if err := StreamCSVHostsFile(&got, "delay", pts, set, path); err != nil {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("unreachable fleet dialed %d times, want 1", n)
+	}
+	if n := strings.Count(logBuf.String(), "level=WARN"); n != 1 {
+		t.Errorf("%d warnings, want 1:\n%s", n, logBuf.String())
+	}
+	if want := SweepCSV("delay", pts, maxSeg, 2); got.String() != want {
+		t.Errorf("fallback CSV differs from the local run:\n%s\nvs\n%s", got.String(), want)
 	}
 }

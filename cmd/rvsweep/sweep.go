@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"strings"
 	"time"
@@ -103,6 +104,30 @@ func StreamCSV(w io.Writer, mode string, pts []Point, set rendezvous.Settings) {
 func StreamCSVOn(w io.Writer, mode string, pts []Point, set rendezvous.Settings, f *rendezvous.Fleet) {
 	alg := rendezvous.AlmostUniversalRV()
 	emitRows(w, mode, pts, f.SimulateBatchStream(sweepInstances(pts), alg, set))
+}
+
+// StreamCSVHostsFile is StreamCSVOn over a session dialed from the
+// fleet set names, whose roster WatchHosts keeps in step with the hosts
+// file at path while the rows stream. An unreachable initial fleet is
+// one warning and an in-process run: the fleet fields of set are
+// cleared first, so the fallback does not dial the same workers a
+// second time. Determinism makes the fallback invisible in the CSV.
+func StreamCSVHostsFile(w io.Writer, mode string, pts []Point, set rendezvous.Settings, path string) error {
+	f, err := rendezvous.DialFleet(set)
+	if err != nil {
+		slog.Warn("rvsweep: fleet unavailable (running in-process)", "err", err)
+		set.Hosts, set.WorkerProcs = "", 0
+		StreamCSV(w, mode, pts, set)
+		return nil
+	}
+	defer f.Close()
+	stop, err := f.WatchHosts(path, 0)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	StreamCSVOn(w, mode, pts, set, f)
+	return nil
 }
 
 // streamCSV is StreamCSV with the algorithm injectable (tests gate a

@@ -37,11 +37,11 @@ func TestParseHosts(t *testing.T) {
 
 func TestParseHostsRejectsMalformed(t *testing.T) {
 	for _, in := range []string{
-		"a:1*",    // empty pool
-		"a:1*0",   // zero pool
-		"a:1*-2",  // negative pool
-		"a:1*x",   // non-numeric pool
-		"a:1*4.5", // fractional pool
+		"a:1*",        // empty pool
+		"a:1*0",       // zero pool
+		"a:1*-2",      // negative pool
+		"a:1*x",       // non-numeric pool
+		"a:1*4.5",     // fractional pool
 		"*4",          // pool without an address
 		"a:1*4*5",     // two hints
 		"a:1,*2",      // malformed entry mid-list

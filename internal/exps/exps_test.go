@@ -163,6 +163,34 @@ func TestT2ParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestT1ParallelMatchesSerial: T1's one batch (dedicated closures and
+// wire-formed AURV runs together) renders identically for any pool size.
+func TestT1ParallelMatchesSerial(t *testing.T) {
+	serial := smallBudgets()
+	serial.Workers = 1
+	parallel := smallBudgets()
+	parallel.Workers = 8
+	s := T1(1, 3, serial).String()
+	p := T1(1, 3, parallel).String()
+	if s != p {
+		t.Errorf("T1 output depends on worker count:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", s, p)
+	}
+}
+
+// TestT6ParallelMatchesSerial: T6's δ sweep renders identically for any
+// pool size.
+func TestT6ParallelMatchesSerial(t *testing.T) {
+	serial := smallBudgets()
+	serial.Workers = 1
+	parallel := smallBudgets()
+	parallel.Workers = 8
+	s := T6(6, serial).String()
+	p := T6(6, parallel).String()
+	if s != p {
+		t.Errorf("T6 output depends on worker count:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", s, p)
+	}
+}
+
 // TestT5ParallelMatchesSerial pins the worker-count independence of the
 // chunked Monte-Carlo sweep.
 func TestT5ParallelMatchesSerial(t *testing.T) {
@@ -199,9 +227,11 @@ func TestT5DistributedMatchesInProcess(t *testing.T) {
 }
 
 // TestSharedFleetAcrossTables is the session acceptance criterion at
-// the experiment-suite level: T2, T3, and T5 run over ONE dialed fleet
-// (Budgets.Fleet, the rvtable path) must render byte-identically to
-// the in-process tables AND cost exactly one worker connection.
+// the experiment-suite level: T1, T2, T3, T5, and T6 run over ONE
+// dialed fleet (Budgets.Fleet, the rvtable path) must render
+// byte-identically to the in-process tables AND cost exactly one worker
+// connection. T1's infeasible rows and T6's AURV runs are wire-formed,
+// so those tables must actually ship jobs to the worker.
 func TestSharedFleetAcrossTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dials TCP worker fleets")
@@ -228,12 +258,24 @@ func TestSharedFleetAcrossTables(t *testing.T) {
 
 	b := smallBudgets()
 	b.Workers = 2
-	run := func(bud Budgets) (string, string, string) {
-		return T2(2, 3, bud).String(), T3(3, 2, bud).String(), T5(200_000, 5, bud).String()
+	tables := []struct {
+		name    string
+		run     func(Budgets) string
+		shipped bool // has wire-formed jobs that must cross to the worker
+	}{
+		{"T1", func(b Budgets) string { return T1(1, 2, b).String() }, true},
+		{"T2", func(b Budgets) string { return T2(2, 3, b).String() }, false},
+		{"T3", func(b Budgets) string { return T3(3, 2, b).String() }, true},
+		{"T5", func(b Budgets) string { return T5(200_000, 5, b).String() }, false},
+		{"T6", func(b Budgets) string { return T6(6, b).String() }, true},
 	}
-	wantT2, wantT3, wantT5 := run(b)
+	want := make([]string, len(tables))
+	for i, tb := range tables {
+		want[i] = tb.run(b)
+	}
 
-	cfg := dist.Config{Hosts: []dist.Host{{Addr: l.Addr().String()}}}
+	var distLog strings.Builder
+	cfg := dist.Config{Hosts: []dist.Host{{Addr: l.Addr().String()}}, Stderr: &distLog}
 	shared := b
 	f, err := dist.Dial(cfg)
 	if err != nil {
@@ -241,12 +283,30 @@ func TestSharedFleetAcrossTables(t *testing.T) {
 	}
 	defer f.Close()
 	shared.Fleet = f
-	gotT2, gotT3, gotT5 := run(shared)
-	if gotT2 != wantT2 || gotT3 != wantT3 || gotT5 != wantT5 {
-		t.Fatal("shared-fleet tables differ from in-process tables")
+	// served reports the job frames the worker stream has received, as
+	// of the stats pong Snapshot elicits.
+	served := func() uint64 {
+		snap := f.Snapshot()
+		if len(snap.Slots) != 1 || snap.Slots[0].Worker == nil {
+			t.Fatalf("no worker stats in the fleet snapshot: %+v", snap.Slots)
+		}
+		return snap.Slots[0].Worker.Served
+	}
+	for i, tb := range tables {
+		before := served()
+		if got := tb.run(shared); got != want[i] {
+			t.Errorf("shared-fleet %s differs from the in-process table:\n%s\nvs\n%s", tb.name, got, want[i])
+		}
+		if tb.shipped && served() == before {
+			t.Errorf("%s shipped no job to the worker", tb.name)
+		}
 	}
 	if n := conns.Load(); n != 1 {
-		t.Fatalf("shared fleet used %d connections for 3 tables, want exactly 1", n)
+		t.Fatalf("shared fleet used %d connections for %d tables, want exactly 1", n, len(tables))
+	}
+	// Identical output via the in-process fallback would prove nothing.
+	if log := distLog.String(); strings.Contains(log, "in-process") {
+		t.Errorf("shared fleet fell back in-process:\n%s", log)
 	}
 }
 

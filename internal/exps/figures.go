@@ -4,15 +4,12 @@ import (
 	"math"
 
 	"repro/internal/batch"
-	"repro/internal/core"
 	"repro/internal/dedicated"
-	"repro/internal/dist"
 	"repro/internal/geom"
 	"repro/internal/inst"
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/svg"
-	"repro/internal/wire"
 )
 
 // Figures regenerates the paper's five figures as SVG documents, keyed
@@ -160,16 +157,7 @@ func Fig3() string {
 func tracedJob(in inst.Instance, maxSeg, cap int) batch.Job {
 	set := settings(maxSeg)
 	set.TraceCap = cap
-	s := core.Compact()
-	j := batch.Job{
-		A:        sim.AgentSpec{Attrs: in.AgentA(), Prog: core.Program(s, nil), Radius: in.R},
-		B:        sim.AgentSpec{Attrs: in.AgentB(), Prog: core.Program(s, nil), Radius: in.R},
-		Settings: set,
-	}
-	if wire.Registered(dist.AlgAURVCompact) {
-		j.Wire = &wire.Job{In: in, Alg: dist.AlgAURVCompact, Set: set}
-	}
-	return j
+	return aurvWireJob(in, set)
 }
 
 // fig4Instance is the simulated type-1 instance behind Fig4.

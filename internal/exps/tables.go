@@ -1,4 +1,4 @@
-// Package exps regenerates every experiment table (T1–T5) and figure
+// Package exps regenerates every experiment table (T1–T6) and figure
 // (F1–F5) of the reproduction, as indexed in DESIGN.md §4. The paper is a
 // theory paper; each of its theorems becomes a table of empirical checks
 // and each of its illustrative figures is redrawn from computed geometry
@@ -32,18 +32,20 @@ type Budgets struct {
 	MeetSegments int // budget for runs expected to meet
 	MissSegments int // budget for runs expected not to meet
 	// Workers is the batch-pool size for the per-instance simulations of
-	// T2–T5 and the simulated figures; 0 selects GOMAXPROCS. Tables are
+	// T1–T6 and the simulated figures; 0 selects GOMAXPROCS. Tables are
 	// byte-identical for every value (see internal/batch).
 	Workers int
 	// Fleet, when non-nil, is a dialed persistent worker session
 	// (dist.Dial) shared by every batch and sweep of the suite: one
-	// handshake per host for the whole T1–T6 run. Jobs that carry
-	// observers — every AURV job whose phase/block progress feeds a
-	// table column — have no wire form and stay in-process, so tables
-	// remain byte-identical with or without a fleet. nil runs
-	// everything in-process; a fleet failure falls back in-process
-	// (purity makes the fallback invisible in the tables). The fleet
-	// stays open — closing it is the caller's job.
+	// handshake per host for the whole T1–T6 run. Wire-formed jobs —
+	// T1's infeasible rows, T6's AURV runs, T3's universal-algorithm
+	// cells, the traced figure runs — may execute on it. Jobs that carry
+	// observers (every AURV job whose phase/block progress feeds a
+	// table column) or per-instance dedicated closures have no wire
+	// form and stay in-process, so tables remain byte-identical with or
+	// without a fleet. nil runs everything in-process; a fleet failure
+	// falls back in-process (purity makes the fallback invisible in the
+	// tables). The fleet stays open — closing it is the caller's job.
 	Fleet *dist.Fleet
 }
 
@@ -73,12 +75,6 @@ func aurvJob(in inst.Instance, maxSeg int) (batch.Job, *core.Progress) {
 	}, pg
 }
 
-// runAURV simulates AlmostUniversalRV on the instance serially.
-func runAURV(in inst.Instance, maxSeg int) (sim.Result, core.Progress) {
-	j, pg := aurvJob(in, maxSeg)
-	return sim.Run(j.A, j.B, j.Settings), *pg
-}
-
 // progJob builds the batch job running the program on the instance.
 func progJob(in inst.Instance, mk func() prog.Program, maxSeg int) batch.Job {
 	return batch.Job{
@@ -88,9 +84,22 @@ func progJob(in inst.Instance, mk func() prog.Program, maxSeg int) batch.Job {
 	}
 }
 
-func runProg(in inst.Instance, mk func() prog.Program, maxSeg int) sim.Result {
-	j := progJob(in, mk, maxSeg)
-	return sim.Run(j.A, j.B, j.Settings)
+// aurvWireJob builds the batch job simulating AlmostUniversalRV
+// (compact schedule) on the instance under set. Neither agent carries an
+// observer, so the job has a wire form: Budgets.Fleet may execute it on
+// a worker process, which rebuilds exactly this program from the
+// registered name.
+func aurvWireJob(in inst.Instance, set sim.Settings) batch.Job {
+	s := core.Compact()
+	j := batch.Job{
+		A:        sim.AgentSpec{Attrs: in.AgentA(), Prog: core.Program(s, nil), Radius: in.R},
+		B:        sim.AgentSpec{Attrs: in.AgentB(), Prog: core.Program(s, nil), Radius: in.R},
+		Settings: set,
+	}
+	if wire.Registered(dist.AlgAURVCompact) {
+		j.Wire = &wire.Job{In: in, Alg: dist.AlgAURVCompact, Set: set}
+	}
+	return j
 }
 
 // T1 validates Theorem 3.1: for every instance class, the feasibility
@@ -118,8 +127,20 @@ func T1(seed int64, nPerClass int, b Budgets) *report.Table {
 		{inst.ClassInfeasibleShift, false},
 		{inst.ClassInfeasibleMirror, false},
 	}
-	for _, r := range rows {
-		met, agree := 0, 0
+	// Draw every row's samples in the serial order, build one job per
+	// sample whose predicate agrees with its class label, run them as one
+	// batch, and fold each row's verdicts in input order. Feasible rows
+	// run their per-instance dedicated closure in-process; infeasible
+	// rows run wire-formed AURV jobs, which a fleet may execute.
+	type sample struct {
+		row int
+		in  inst.Instance
+	}
+	var (
+		jobs    []batch.Job
+		samples []sample
+	)
+	for i, r := range rows {
 		for _, in := range g.DrawN(r.class, nPerClass) {
 			if in.Feasible() != r.feasible {
 				continue // predicate disagrees with the class label: counted as non-agree
@@ -129,29 +150,37 @@ func T1(seed int64, nPerClass int, b Budgets) *report.Table {
 				if !ok {
 					continue
 				}
-				res := runProg(in, func() prog.Program { return p }, b.MeetSegments)
-				if res.Met {
-					met++
-					agree++
-				}
+				jobs = append(jobs, progJob(in, func() prog.Program { return p }, b.MeetSegments))
 			} else {
-				res := runProg(in, func() prog.Program { return core.Program(core.Compact(), nil) }, b.MissSegments)
-				bound := gapLowerBound(in)
-				if !res.Met && res.MinGap >= bound-1e-6 {
-					agree++
-				}
+				jobs = append(jobs, aurvWireJob(in, settings(b.MissSegments)))
 			}
+			samples = append(samples, sample{i, in})
 		}
-		outcome := fmt.Sprintf("met %d/%d", met, nPerClass)
+	}
+	results, _ := b.Fleet.RunOrFallback(jobs, b.Workers)
+	met := make([]int, len(rows))
+	agree := make([]int, len(rows))
+	for k, res := range results {
+		i, in := samples[k].row, samples[k].in
+		switch {
+		case rows[i].feasible && res.Met:
+			met[i]++
+			agree[i]++
+		case !rows[i].feasible && !res.Met && res.MinGap >= gapLowerBound(in)-1e-6:
+			agree[i]++
+		}
+	}
+	for i, r := range rows {
+		outcome := fmt.Sprintf("met %d/%d", met[i], nPerClass)
 		if !r.feasible {
-			outcome = fmt.Sprintf("no meet, gap ≥ bound (%d/%d)", agree, nPerClass)
+			outcome = fmt.Sprintf("no meet, gap ≥ bound (%d/%d)", agree[i], nPerClass)
 		}
 		pred := "feasible"
 		if !r.feasible {
 			pred = "infeasible"
 		}
 		t.Add(r.class.String(), nPerClass, pred, outcome,
-			fmt.Sprintf("%d/%d", agree, nPerClass))
+			fmt.Sprintf("%d/%d", agree[i], nPerClass))
 	}
 	t.Note("feasible classes run their Theorem-3.1 witness algorithm; infeasible classes run AlmostUniversalRV under a %d-segment budget with the analytic gap bound asserted", b.MissSegments)
 	return t
@@ -463,31 +492,52 @@ func T6(seed int64, b Budgets) *report.Table {
 		"δ = t - t*", "feasible", "AURV", "dedicated")
 	base := inst.Instance{R: 0.5, X: 2, Y: 1, Phi: 0.8, Tau: 1, V: 1, Chi: -1}
 	tStar := base.ProjGap() - base.R
+	// One AURV job per δ, plus a dedicated job where a dedicated
+	// algorithm exists; the rows fold in input order once the whole
+	// batch has run.
+	type row struct {
+		delta     float64
+		in        inst.Instance
+		aurv, ded int // result indexes; ded < 0: no dedicated algorithm
+	}
+	var (
+		jobs []batch.Job
+		rows []row
+	)
 	for _, delta := range []float64{-0.2, -0.05, 0, 0.05, 0.2} {
-		in := base
-		in.T = tStar + delta
+		r := row{delta: delta, in: base, ded: -1}
+		r.in.T = tStar + delta
 		aurvBudget := b.MissSegments
 		if delta > 0 {
 			aurvBudget = b.MeetSegments
 		}
-		res, _ := runAURV(in, aurvBudget)
+		r.aurv = len(jobs)
+		jobs = append(jobs, aurvWireJob(r.in, settings(aurvBudget)))
+		if p, ok := dedicated.ForInstance(r.in, core.Compact()); ok {
+			budget := b.MissSegments
+			if r.in.Feasible() {
+				budget = b.MeetSegments
+			}
+			r.ded = len(jobs)
+			jobs = append(jobs, progJob(r.in, func() prog.Program { return p }, budget))
+		}
+		rows = append(rows, r)
+	}
+	results, _ := b.Fleet.RunOrFallback(jobs, b.Workers)
+	for _, r := range rows {
 		aurv := "no meet"
-		if res.Met {
+		if res := results[r.aurv]; res.Met {
 			aurv = fmt.Sprintf("met t=%.3g", res.MeetTime.Float64())
 		}
 		ded := "n/a (infeasible)"
-		if p, ok := dedicated.ForInstance(in, core.Compact()); ok {
-			budget := b.MissSegments
-			if in.Feasible() {
-				budget = b.MeetSegments
-			}
-			dres := runProg(in, func() prog.Program { return p }, budget)
+		if r.ded >= 0 {
+			dres := results[r.ded]
 			ded = "no meet"
 			if dres.Met {
 				ded = fmt.Sprintf("met t=%.3g (gap %.4g)", dres.MeetTime.Float64(), dres.EndA.Dist(dres.EndB))
 			}
 		}
-		t.Add(fmt.Sprintf("%+.2f", delta), in.Feasible(), aurv, ded)
+		t.Add(fmt.Sprintf("%+.2f", r.delta), r.in.Feasible(), aurv, ded)
 	}
 	t.Note("base instance %v, threshold t* = %.4f", base, tStar)
 	return t

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate a kernel-benchmark JSON record: the paper-table artifacts
-# that dominate `rvtable -exp all` (T1, T3, T4), the simulator's segment
-# loop alone and with per-round program generation, the
-# instruction-stream cursor engine, the batch pool, the
-# memoization
+# that dominate `rvtable -exp all` (T1, T3, T4, T6), the simulator's
+# segment loop alone and with per-round program generation, the
+# instruction-stream cursor engine, the batch pool, the memoization
 # pre-pass, the distributed coordinator (local worker subprocesses;
 # synchronous vs windowed dispatch; per-call fleets vs a reused
 # session; concurrent tenants vs serialized dispatches; distributed
@@ -26,7 +25,7 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${1:-2s}"
 OUT="${2:-BENCH_local.json}"
 NOTE="${3:-Local benchmark run (benchtime=$BENCHTIME). Not a committed PR record: pass an output name and note to label one, see DESIGN.md §9.}"
-PATTERN='BenchmarkT1Feasibility|BenchmarkT3Coverage|BenchmarkT4Boundary|BenchmarkInstrStream|BenchmarkEngineThroughput|BenchmarkT2Type|BenchmarkBatchT2Workers|BenchmarkDedup|BenchmarkDistT2Procs|BenchmarkDistT2Window|BenchmarkDistT2Session|BenchmarkDistT5Chunks|BenchmarkDistT2WAN|BenchmarkDistT5WAN|BenchmarkDistMultiTenant|BenchmarkFrameWrite|BenchmarkFrameRoundTrip|BenchmarkPlanarWalkGen'
+PATTERN='BenchmarkT1Feasibility|BenchmarkT6Boundary|BenchmarkT3Coverage|BenchmarkT4Boundary|BenchmarkInstrStream|BenchmarkEngineThroughput|BenchmarkT2Type|BenchmarkBatchT2Workers|BenchmarkDedup|BenchmarkDistT2Procs|BenchmarkDistT2Window|BenchmarkDistT2Session|BenchmarkDistT5Chunks|BenchmarkDistT2WAN|BenchmarkDistT5WAN|BenchmarkDistMultiTenant|BenchmarkFrameWrite|BenchmarkFrameRoundTrip|BenchmarkPlanarWalkGen'
 
 # Write to a temp file and move into place only on success, so a
 # failed bench run never clobbers the committed perf record.
